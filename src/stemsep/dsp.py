@@ -79,12 +79,20 @@ def stft(clip, sample_rate: int | None = None) -> ComplexSpectrogram:
         raise DataError(f"signal of {n} samples is shorter than one {WINDOW_SIZE}-sample window")
     half = WINDOW_SIZE // 2
     padded = np.pad(samples, half, mode="reflect")
-    frames = 1 + (padded.size - WINDOW_SIZE) // HOP_SIZE
-    window = hann_window()
-    starts = np.arange(frames) * HOP_SIZE
-    segments = padded[starts[:, None] + np.arange(WINDOW_SIZE)] * window
+    segments = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[::HOP_SIZE]
+    segments = segments * hann_window()
     spec = np.fft.rfft(segments, n=WINDOW_SIZE, axis=1).T  # (bins, frames)
     return ComplexSpectrogram(spec, rate, n)
+
+
+def _overlap_add(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    # Half-overlap: hop slot k receives the first half of frame k and the
+    # second half of frame k - 1, so a slot never has more than two addends.
+    frames, hop = first.shape
+    out = np.zeros((frames + 1, hop))
+    out[:-1] += first
+    out[1:] += second
+    return out.reshape(-1)
 
 
 def istft(spec: ComplexSpectrogram) -> AudioClip:
@@ -92,18 +100,19 @@ def istft(spec: ComplexSpectrogram) -> AudioClip:
     window, normalized by the accumulated squared-window envelope."""
     if spec.bins != spec.window_size // 2 + 1:
         raise ShapeError(f"spectrogram has {spec.bins} bins, expected {spec.window_size // 2 + 1}")
+    if spec.window_size != 2 * spec.hop_size:
+        raise ShapeError(f"istft needs hop = window / 2, got window {spec.window_size} "
+                         f"and hop {spec.hop_size}")
     window = hann_window(spec.window_size)
     frames = spec.frames
     hop = spec.hop_size
     total = (frames - 1) * hop + spec.window_size
-    out = np.zeros(total)
-    envelope = np.zeros(total)
-    segments = np.fft.irfft(spec.data.T, n=spec.window_size, axis=1) * window
+    segments = np.fft.irfft(spec.data.T, n=spec.window_size, axis=1)
+    segments *= window
+    out = _overlap_add(segments[:, :hop], segments[:, hop:])
     wsq = window * window
-    for t in range(frames):
-        start = t * hop
-        out[start:start + spec.window_size] += segments[t]
-        envelope[start:start + spec.window_size] += wsq
+    envelope = _overlap_add(np.broadcast_to(wsq[:hop], (frames, hop)),
+                            np.broadcast_to(wsq[hop:], (frames, hop)))
     out /= np.maximum(envelope, 1e-12)
     half = spec.window_size // 2
     length = spec.length if spec.length else max(total - 2 * half, 0)

@@ -83,15 +83,21 @@ def separate_song(model, song: AudioClip, accompaniment: str = "nonvocal") -> di
 
     stems = {name: AudioClip(np.stack(chans), song.sample_rate)
              for name, chans in per_channel.items()}
-    if accompaniment == "all4":
-        parts = sources
-    else:
-        parts = [name for name in sources if name != VOCALS] or sources
-    accomp = np.zeros_like(song.data)
-    for name in parts:
-        accomp = accomp + stems[name].data
-    stems["accompaniment"] = AudioClip(accomp, song.sample_rate)
+    stems["accompaniment"] = _accompaniment_stem(stems, sources, accompaniment, song)
     return stems
+
+
+def _accompaniment_stem(stems: dict, sources, accompaniment: str, like: AudioClip) -> AudioClip:
+    """Sum of the non-vocal stems (of all stems if none is non-vocal), or of
+    every stem when ``accompaniment == "all4"``; shaped and rated as ``like``."""
+    if accompaniment == "all4":
+        parts = list(sources)
+    else:
+        parts = [name for name in sources if name != VOCALS] or list(sources)
+    data = np.zeros_like(like.data)
+    for name in parts:
+        data = data + stems[name].data
+    return AudioClip(data, like.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +158,7 @@ class EvalReport:
 
 def _reference_stems(track: Track, sources, accompaniment: str) -> dict:
     refs = dict(track.stems)
-    if accompaniment == "all4":
-        parts = list(sources)
-    else:
-        parts = [name for name in sources if name != VOCALS] or list(sources)
-    data = np.zeros_like(track.mixture.data)
-    for name in parts:
-        data = data + track.stems[name].data
-    refs["accompaniment"] = AudioClip(data, track.mixture.sample_rate)
+    refs["accompaniment"] = _accompaniment_stem(track.stems, sources, accompaniment, track.mixture)
     return refs
 
 
@@ -171,18 +170,15 @@ def _score_track(track: Track, estimates: dict, sources, accompaniment: str) -> 
     return rows
 
 
-def _load_estimates(estimates_dir: Path, track: Track, sources) -> dict:
+def _load_estimates(estimates_dir: Path, track: Track, sources, accompaniment: str) -> dict:
     est_track = load_track(estimates_dir / track.name, sources=sources, require_stems=True)
     estimates = dict(est_track.stems)
     accomp_path = estimates_dir / track.name / "accompaniment.wav"
     if accomp_path.exists():
         estimates["accompaniment"] = read_wav(accomp_path)
     else:
-        data = np.zeros_like(track.mixture.data)
-        for name in sources:
-            if name != VOCALS:
-                data = data + estimates[name].data
-        estimates["accompaniment"] = AudioClip(data, track.mixture.sample_rate)
+        estimates["accompaniment"] = _accompaniment_stem(estimates, sources, accompaniment,
+                                                         track.mixture)
     return estimates
 
 
@@ -209,7 +205,7 @@ def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
         if bundle is not None:
             estimates = separate_song(bundle, track.mixture, accompaniment=accompaniment)
         else:
-            estimates = _load_estimates(Path(estimates_dir), track, sources)
+            estimates = _load_estimates(Path(estimates_dir), track, sources, accompaniment)
         return _score_track(track, estimates, sources, accompaniment)
 
     dirs = track_dirs(dataset_dir, split)

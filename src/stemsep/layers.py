@@ -1,10 +1,11 @@
 """Layer vocabulary: 1-D (transposed) convolution along time, GRU,
 weight/batch normalization, and parameter initialization.
 
-Convolutions are fused tape operations (im2col + BLAS matmul with a
-hand-written backward rule); the GRU is composed from core tensor ops so
-backpropagation through time falls out of the tape. All layers accept
-``(C, T)`` or batched ``(B, C, T)`` inputs and preserve the input rank.
+Convolutions and the GRU are fused tape operations: each call records
+one op whose hand-written backward rule does the work in BLAS matmuls
+(im2col for convolutions; backpropagation through time for the GRU).
+All layers accept ``(C, T)`` or batched ``(B, C, T)`` inputs and
+preserve the input rank.
 """
 
 from __future__ import annotations
@@ -14,23 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import (
-    Tensor,
-    accumulate_grad,
-    add,
-    astensor,
-    get_default_dtype,
-    matmul,
-    mul,
-    record_op,
-    reshape,
-    sigmoid,
-    slice_axis,
-    stack,
-    sub,
-    tanh,
-    transpose,
-)
+from .tensor import Tensor, accumulate_grad, astensor, get_default_dtype, record_op, reshape
 
 NORM_KINDS = ("weight_norm", "batch_norm", "none")
 
@@ -313,13 +298,25 @@ class Conv1d:
 # GRU
 
 
+def _sigmoid_inplace(a: np.ndarray) -> None:
+    # 0.5 * (1 + tanh(a / 2)): never exponentiates, so stable in both tails.
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+
+
 class GRU:
     """Unidirectional gated recurrent unit over the time axis.
 
     Per frame: z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
-    hcand = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * hcand.
-    Input projections for the whole sequence are batched into three
-    matmuls; only the recurrent half runs step by step.
+    hcand = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * hcand
+    (Cho et al. 2014). A call is one tape op, laid out as in Appleyard et
+    al. 2016: the input projections of all three gates and all frames are
+    one GEMM, and each frame runs one (H, 2H) recurrent product for z and
+    r and one (H, H) product for hcand. The backward rule is hand-written
+    backpropagation through time: a reverse frame loop carries dL/dh, then
+    the weight, bias and input gradients are single GEMMs over all frames.
     """
 
     GATES = ("z", "r", "h")
@@ -341,39 +338,96 @@ class GRU:
             self.b[gate] = Tensor(np.zeros(hidden_size, dtype=dt), requires_grad=True)
 
     def __call__(self, x, h0: np.ndarray | None = None) -> Tensor:
-        x, unbatch = _lift(x)
-        b, c, t = x.data.shape
+        x = astensor(x)
+        xd = x.data
+        if xd.ndim not in (2, 3):
+            raise ShapeError(f"expected (C, T) or (B, C, T) input, got shape {xd.shape}")
+        unbatch = xd.ndim == 2
+        xb = xd[None] if unbatch else xd
+        b, c, t = xb.shape
         if c != self.input_size:
             raise ShapeError(f"gru: input has {c} channels, expected {self.input_size}")
         hsize = self.hidden_size
+        params = [p for _, p in self.named_parameters("")]
+        dt = np.result_type(xb, *(p.data for p in params))
 
-        flat = reshape(transpose(x, (0, 2, 1)), (b * t, c))
-        proj = {}
-        for gate in self.GATES:
-            p = add(matmul(flat, transpose(self.w[gate])), self.b[gate])
-            proj[gate] = reshape(p, (b, t, hsize))
-        u_t = {gate: transpose(self.u[gate]) for gate in self.GATES}
-
+        # hs[:, i] is the state entering frame i; hs[:, 1:] is the output.
+        hs = np.empty((b, t + 1, hsize), dtype=dt)
         if h0 is None:
-            h = astensor(np.zeros((b, hsize), dtype=x.data.dtype))
+            hs[:, 0] = 0.0
         else:
-            h0 = np.asarray(h0, dtype=x.data.dtype)
+            h0 = np.asarray(h0, dtype=xb.dtype)
             if h0.shape != (hsize,):
                 raise ShapeError(f"gru: h0 has shape {h0.shape}, expected ({hsize},)")
-            h = astensor(np.broadcast_to(h0, (b, hsize)).copy())
+            hs[:, 0] = h0
 
-        steps = []
+        w_all = np.concatenate([self.w[g].data for g in self.GATES])   # (3H, C)
+        u_zr = np.concatenate([self.u["z"].data, self.u["r"].data])    # (2H, H)
+        u_h = self.u["h"].data
+        xf = np.ascontiguousarray(xb.transpose(0, 2, 1)).reshape(b * t, c)
+        # Input projections of all frames in one GEMM; the recurrent loop
+        # turns the pre-activations into the z | r | hcand gate values in place.
+        gates = (xf @ w_all.T).reshape(b, t, 3 * hsize)
+        gates += np.concatenate([self.b[g].data for g in self.GATES])
+        rh = np.empty((b, t, hsize), dtype=dt)
         for i in range(t):
-            xg = {gate: reshape(slice_axis(proj[gate], 1, i, i + 1), (b, hsize))
-                  for gate in self.GATES}
-            z = sigmoid(add(xg["z"], matmul(h, u_t["z"])))
-            r = sigmoid(add(xg["r"], matmul(h, u_t["r"])))
-            hcand = tanh(add(xg["h"], matmul(mul(r, h), u_t["h"])))
-            h = add(mul(sub(1.0, z), h), mul(z, hcand))
-            steps.append(h)
+            h = hs[:, i]
+            zr = gates[:, i, :2 * hsize]
+            zr += h @ u_zr.T
+            _sigmoid_inplace(zr)
+            z, r = zr[:, :hsize], zr[:, hsize:]
+            np.multiply(r, h, out=rh[:, i])
+            hc = gates[:, i, 2 * hsize:]
+            hc += rh[:, i] @ u_h.T
+            np.tanh(hc, out=hc)
+            h_next = hs[:, i + 1]
+            np.subtract(hc, h, out=h_next)
+            h_next *= z
+            h_next += h
 
-        out = transpose(stack(steps, axis=1), (0, 2, 1))
-        return reshape(out, out.data.shape[1:]) if unbatch else out
+        out_data = np.ascontiguousarray(hs[:, 1:].transpose(0, 2, 1))
+        out = Tensor._wrap(out_data[0] if unbatch else out_data)
+
+        def backward_rule(grad):
+            gh = (grad[None] if unbatch else grad).transpose(0, 2, 1)  # (B, T, H)
+            dpre = np.empty_like(gates)  # gradients of the gate pre-activations
+            dh = np.zeros((b, hsize), dtype=dt)
+            for i in reversed(range(t)):
+                dh += gh[:, i]
+                h = hs[:, i]
+                z, r, hc = (gates[:, i, k * hsize:(k + 1) * hsize] for k in range(3))
+                dz, dr, dhc = (dpre[:, i, k * hsize:(k + 1) * hsize] for k in range(3))
+                np.subtract(hc, h, out=dz)
+                dz *= dh
+                np.multiply(dh, z, out=dhc)
+                dh_prev = dh - dhc
+                dhc *= 1.0 - hc * hc
+                drh = dhc @ u_h
+                np.multiply(drh, h, out=dr)
+                drh *= r
+                dh_prev += drh
+                dz *= z * (1.0 - z)
+                dr *= r * (1.0 - r)
+                dh_prev += dpre[:, i, :2 * hsize] @ u_zr
+                dh = dh_prev
+
+            d2 = dpre.reshape(b * t, 3 * hsize)
+            dw = d2.T @ xf
+            du_zr = d2[:, :2 * hsize].T @ hs[:, :-1].reshape(b * t, hsize)
+            du_h = d2[:, 2 * hsize:].T @ rh.reshape(b * t, hsize)
+            db = d2.sum(axis=0)
+            for k, gate in enumerate(self.GATES):
+                rows = slice(k * hsize, (k + 1) * hsize)
+                accumulate_grad(self.w[gate], dw[rows])
+                accumulate_grad(self.b[gate], db[rows])
+            accumulate_grad(self.u["z"], du_zr[:hsize])
+            accumulate_grad(self.u["r"], du_zr[hsize:])
+            accumulate_grad(self.u["h"], du_h)
+            if x.requires_grad:
+                dx = np.ascontiguousarray((d2 @ w_all).reshape(b, t, c).transpose(0, 2, 1))
+                accumulate_grad(x, dx[0] if unbatch else dx)
+
+        return record_op(out, (x, *params), backward_rule)
 
     def parameter_count(self) -> int:
         return sum(p.data.size for _, p in self.named_parameters(""))

@@ -27,6 +27,31 @@ def dft_frame_oracle(padded, frame_index):
     return out
 
 
+def stft_index_oracle(samples):
+    """The STFT framed by an explicit (frames, window) fancy index."""
+    padded = np.pad(samples, dsp.WINDOW_SIZE // 2, mode="reflect")
+    frames = 1 + (padded.size - dsp.WINDOW_SIZE) // dsp.HOP_SIZE
+    starts = np.arange(frames) * dsp.HOP_SIZE
+    segments = padded[starts[:, None] + np.arange(dsp.WINDOW_SIZE)] * dsp.hann_window()
+    return np.fft.rfft(segments, n=dsp.WINDOW_SIZE, axis=1).T
+
+
+def istft_loop_oracle(spec):
+    """Frame-by-frame overlap-add, normalized by the squared-window envelope."""
+    window = dsp.hann_window(spec.window_size)
+    total = (spec.frames - 1) * spec.hop_size + spec.window_size
+    out = np.zeros(total)
+    envelope = np.zeros(total)
+    segments = np.fft.irfft(spec.data.T, n=spec.window_size, axis=1) * window
+    for t in range(spec.frames):
+        start = t * spec.hop_size
+        out[start:start + spec.window_size] += segments[t]
+        envelope[start:start + spec.window_size] += window * window
+    out /= np.maximum(envelope, 1e-12)
+    half = spec.window_size // 2
+    return out[half:half + spec.length]
+
+
 def interior_rel_rms(x, y, margin=dsp.WINDOW_SIZE):
     xi = x[margin:-margin]
     yi = y[margin:-margin]
@@ -48,6 +73,13 @@ def test_stft_frame_count_contract():
     spec = dsp.stft(rng_for("frames").normal(size=n), sample_rate=44100)
     assert spec.frames == 1 + n // dsp.HOP_SIZE
     assert spec.length == n
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**16), st.integers(dsp.WINDOW_SIZE, 6 * dsp.WINDOW_SIZE))
+def test_stft_bit_equal_to_index_framing(seed, n):
+    x = np.random.default_rng(seed).normal(size=n)
+    assert np.array_equal(dsp.stft(x, sample_rate=44100).data, stft_index_oracle(x))
 
 
 def test_stft_shorter_than_window_errors():
@@ -90,6 +122,22 @@ def test_istft_of_zero_spectrogram_is_silence():
     out = dsp.istft(spec)
     assert np.all(out.data == 0)
     assert out.num_samples == 3 * dsp.WINDOW_SIZE
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**16), st.integers(dsp.WINDOW_SIZE, 6 * dsp.WINDOW_SIZE))
+def test_istft_bit_equal_to_frame_loop(seed, n):
+    rng = np.random.default_rng(seed)
+    spec = dsp.stft(rng.normal(size=n), sample_rate=44100)
+    spec.data = spec.data * rng.uniform(0.0, 2.0, size=spec.data.shape)  # not a valid STFT
+    assert np.array_equal(dsp.istft(spec).channel(0), istft_loop_oracle(spec))
+
+
+def test_istft_rejects_non_half_overlap():
+    spec = dsp.stft(np.zeros(3 * dsp.WINDOW_SIZE), sample_rate=44100)
+    spec.hop_size = dsp.HOP_SIZE // 2
+    with pytest.raises(ShapeError):
+        dsp.istft(spec)
 
 
 def test_roundtrip_white_noise():

@@ -111,6 +111,16 @@ def test_oracle_estimates_hit_cap(tmp_path):
     assert agg["vocals"]["median"] == 100.0
 
 
+def test_oracle_estimates_all4_accompaniment_hits_cap(tmp_path):
+    # Without accompaniment.wav the estimate is summed from the stems by the
+    # same rule as the reference, so oracle stems score the cap under all4 too.
+    make_dataset(tmp_path, seconds=0.3, tracks=("alpha",))
+    report = evaluate(tmp_path, split="test", estimates_dir=tmp_path / "test",
+                      accompaniment="all4")
+    accomp = [row for row in report.rows if row.source == "accompaniment"]
+    assert len(accomp) == 1 and accomp[0].sdr_db == 100.0
+
+
 def test_zero_estimates_give_zero_db(tmp_path):
     make_dataset(tmp_path, seconds=0.3, tracks=("alpha",))
     est = tmp_path / "estimates" / "alpha"

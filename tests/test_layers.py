@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from gru_oracle import composed_gru
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stemsep import tensor as T
 from stemsep.errors import ShapeError
@@ -324,6 +327,73 @@ def test_gru_input_gradient_finite_difference():
         return T.reduce_mean(T.mul(out, out))
 
     assert T.gradient_check(loss, x, eps=1e-5) < 1e-4
+
+
+def _gru_outputs_and_grads(run, gru, x, h0, weight):
+    """Forward through ``run`` and backpropagate sum(weight * out); returns
+    the output and the gradients of the input and all nine parameters."""
+    params = [p for _, p in gru.named_parameters("")]
+    for p in params:
+        p.zero_grad()
+    xt = T.Tensor(x, requires_grad=True)
+    out = run(gru, xt, h0)
+    T.backward(T.reduce_sum(T.mul(out, T.Tensor(weight))))
+    return out.data, [xt.grad] + [p.grad for p in params]
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), t=st.integers(1, 7), c=st.integers(1, 4), hsize=st.integers(1, 4),
+       use_h0=st.booleans(), unbatched=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gru_fused_matches_composed_oracle(b, t, c, hsize, use_h0, unbatched, seed):
+    rng = np.random.default_rng(seed)
+    gru = GRU(c, hsize, rng=rng)
+    for _, p in gru.named_parameters(""):
+        p.data[...] = rng.normal(scale=0.8, size=p.data.shape)
+    shape = (c, t) if unbatched and b == 1 else (b, c, t)
+    x = rng.normal(size=shape)
+    h0 = rng.uniform(-1, 1, size=hsize) if use_h0 else None
+    weight = rng.normal(size=shape[:-2] + (hsize, t))
+
+    fused_out, fused_grads = _gru_outputs_and_grads(lambda g, xt, h: g(xt, h0=h), gru, x, h0, weight)
+    ref_out, ref_grads = _gru_outputs_and_grads(composed_gru, gru, x, h0, weight)
+    assert fused_out.shape == ref_out.shape
+    assert np.max(np.abs(fused_out - ref_out)) <= 1e-12
+    for got, want in zip(fused_grads, ref_grads):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_gru_call_is_one_tape_op():
+    rng = rng_for("gru-tape")
+    gru = GRU(3, 4, rng=rng)
+    tape = T.current_tape()
+    tape.clear()
+    for shape in ((3, 9), (2, 3, 9)):
+        before = len(tape)
+        gru(T.Tensor(rng.normal(size=shape), requires_grad=True))
+        assert len(tape) - before == 1
+    with T.no_grad():
+        gru(T.Tensor(rng.normal(size=(2, 3, 9)), requires_grad=True))
+    assert len(tape) == 2
+    tape.clear()
+
+
+def test_gru_saturated_gates_stay_finite():
+    rng = rng_for("gru-tails")
+    gru = GRU(2, 3, rng=rng)
+    x = 1e4 * rng.normal(size=(2, 2, 6))
+    with np.errstate(all="raise"):
+        out = gru(T.Tensor(x)).data
+    assert np.all(np.isfinite(out)) and np.all(np.abs(out) <= 1.0)
+    assert np.allclose(out, composed_gru(gru, T.Tensor(x)).data, rtol=0, atol=1e-12)
+
+
+def test_gru_rejects_bad_rank_and_h0():
+    gru = GRU(3, 2, rng=rng_for("gru-shapes"))
+    with pytest.raises(ShapeError):
+        gru(T.Tensor(np.zeros((1, 1, 3, 5))))
+    with pytest.raises(ShapeError):
+        gru(T.Tensor(np.zeros((3, 5))), h0=np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
