@@ -5,13 +5,17 @@ Layout: a 4-byte magic, u16 format major/minor, a u64 header length, a
 canonical JSON header (sorted keys, no whitespace), then the raw little-
 endian array blobs in manifest order. Canonical serialization makes
 save -> load -> save byte-identical; loading refuses newer majors and
-reports the byte offset of any truncation or corruption it detects.
+reports the byte offset of any truncation or corruption it detects. A
+save writes a temporary file beside the target and renames it into place,
+so an interrupted save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +28,7 @@ from .errors import (
     CorruptCheckpointError,
 )
 from .models import (
+    BUNDLE_MODES,
     ModelBundle,
     ModelConfig,
     ResidualConfig,
@@ -100,6 +105,11 @@ def make_checkpoint(bundle: ModelBundle, optimizer: Adam | None = None,
 
 def bundle_from_checkpoint(ckpt: Checkpoint) -> ModelBundle:
     """Rebuild the models and load every parameter bitwise."""
+    if not ckpt.params:
+        raise CorruptCheckpointError("checkpoint holds no parameter tensors")
+    if ckpt.dtype() not in (np.float32, np.float64):
+        raise CorruptCheckpointError(f"checkpoint parameters have dtype {ckpt.dtype()}, "
+                                     "expected float32 or float64")
     with using_dtype(ckpt.dtype()):
         separator = build_separator(ckpt.model_config, rng=0)
         enhancers = None
@@ -110,6 +120,10 @@ def bundle_from_checkpoint(ckpt: Checkpoint) -> ModelBundle:
                          for _ in range(ckpt.model_config.source_count)]
         bundle = ModelBundle(ckpt.mode, separator, enhancers=enhancers,
                              residual=ckpt.residual, sources=tuple(ckpt.sources))
+        missing = [name for name, _ in bundle.named_parameters() if name not in ckpt.params]
+        if missing:
+            raise CorruptCheckpointError(
+                f"checkpoint lacks {len(missing)} parameter tensor(s), first {missing[0]!r}")
         restore_state(bundle, ckpt.params)
     return bundle
 
@@ -172,11 +186,74 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               ensure_ascii=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_STRUCT.pack(MAGIC, FORMAT_MAJOR, FORMAT_MINOR, len(header_bytes)))
-        fh.write(header_bytes)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr).tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER_STRUCT.pack(MAGIC, FORMAT_MAJOR, FORMAT_MINOR, len(header_bytes)))
+            fh.write(header_bytes)
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# Top-level header fields and the JSON types each may take.
+_HEADER_FIELDS = {
+    "mode": str, "sources": list, "model_config": dict, "residual": (dict, type(None)),
+    "enhancer_config": (dict, type(None)), "optimizer": (dict, type(None)), "meta": dict,
+    "tensors": list,
+}
+_OPTIMIZER_FIELDS = {"t": int, "beta1": float, "beta2": float, "eps": float, "group_lrs": dict}
+
+
+def _check_header(header, path) -> None:
+    """Raise CorruptCheckpointError unless every header field is present,
+    of its type, and the mode is one a bundle can run in."""
+    def fail(what):
+        raise CorruptCheckpointError(f"checkpoint {path} header {what}", offset=_HEADER_STRUCT.size)
+
+    if not isinstance(header, dict):
+        fail(f"is a JSON {type(header).__name__}, not an object")
+    for fields, where in ((_HEADER_FIELDS, header), (_OPTIMIZER_FIELDS, header.get("optimizer"))):
+        for key, kind in fields.items():
+            if where is not None and not (key in where and isinstance(where[key], kind)):
+                fail(f"field {key!r} is missing or not of type {kind}")
+    if header["mode"] not in BUNDLE_MODES:
+        fail(f"names unknown mode {header['mode']!r}; expected one of {BUNDLE_MODES}")
+    if not all(isinstance(name, str) for name in header["sources"]):
+        fail("lists a source name that is not a string")
+
+
+def _tensor_entry(entry, offset: int, path) -> tuple:
+    """(name, dtype, shape, nbytes) of one manifest entry, which must start
+    at ``offset`` (tensors are stored back to back) and hold exactly
+    prod(shape) numeric items."""
+    def fail(what):
+        raise CorruptCheckpointError(f"checkpoint {path} tensor entry {what}",
+                                     offset=_HEADER_STRUCT.size)
+
+    if not isinstance(entry, dict):
+        fail(f"{entry!r} is not an object")
+    name, dtype, shape, nbytes = (entry.get(key) for key in ("name", "dtype", "shape", "nbytes"))
+    if not isinstance(name, str):
+        fail(f"{entry!r} has no string name")
+    # Look names up rather than parse them: numpy's dtype parser accepts
+    # (and can choke on) far more than the plain names save_checkpoint writes.
+    known = isinstance(dtype, str) and dtype in np.sctypeDict
+    dtype = np.dtype(np.sctypeDict[dtype]) if known else None
+    if dtype is None or dtype.kind not in "biufc":
+        fail(f"{name!r} has dtype {entry.get('dtype')!r}; expected a numeric dtype name")
+    if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)):
+        fail(f"{name!r} has malformed shape {shape!r}")
+    if not isinstance(entry.get("offset"), int) or entry["offset"] != offset:
+        fail(f"{name!r} starts at {entry.get('offset')!r}, expected {offset}")
+    if not isinstance(nbytes, int) or nbytes != math.prod(shape) * dtype.itemsize:
+        fail(f"{name!r} declares {nbytes!r} bytes for shape {shape} of {dtype}")
+    return name, dtype, shape, nbytes
 
 
 def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
@@ -202,16 +279,20 @@ def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
         raise CorruptCheckpointError(f"unparseable checkpoint header: {exc}",
                                      offset=_HEADER_STRUCT.size)
 
+    _check_header(header, path)
     arrays = {}
-    base = header_end
+    end = header_end
     for entry in header["tensors"]:
-        start = base + entry["offset"]
-        end = start + entry["nbytes"]
+        name, dtype, shape, nbytes = _tensor_entry(entry, end - header_end, path)
+        start, end = end, end + nbytes
         if end > len(blob):
             raise CorruptCheckpointError(
-                f"checkpoint {path} truncated inside tensor {entry['name']!r}", offset=len(blob))
-        arr = np.frombuffer(blob[start:end], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+                f"checkpoint {path} truncated inside tensor {name!r}", offset=len(blob))
+        arrays[name] = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape).copy()
+    if len(blob) > end:
+        raise CorruptCheckpointError(
+            f"checkpoint {path} has {len(blob) - end} trailing bytes after its last tensor",
+            offset=end)
 
     params = {name[len("param."):]: arr for name, arr in arrays.items()
               if name.startswith("param.")}
@@ -221,17 +302,21 @@ def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
         opt_state["arrays"] = {name[len("opt."):]: arr for name, arr in arrays.items()
                                if name.startswith("opt.")}
 
-    ckpt = Checkpoint(
-        model_config=ModelConfig.from_dict(header["model_config"]),
-        mode=header["mode"],
-        sources=tuple(header["sources"]),
-        params=params,
-        residual=ResidualConfig(header["residual"]["iterations"]) if header["residual"] else None,
-        enhancer_config=(ModelConfig.from_dict(header["enhancer_config"])
-                         if header["enhancer_config"] else None),
-        optimizer=opt_state,
-        meta=header["meta"],
-    )
+    try:
+        ckpt = Checkpoint(
+            model_config=ModelConfig.from_dict(header["model_config"]),
+            mode=header["mode"],
+            sources=tuple(header["sources"]),
+            params=params,
+            residual=ResidualConfig(header["residual"]["iterations"]) if header["residual"] else None,
+            enhancer_config=(ModelConfig.from_dict(header["enhancer_config"])
+                             if header["enhancer_config"] else None),
+            optimizer=opt_state,
+            meta=header["meta"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(f"checkpoint {path} has a malformed configuration: {exc!r}",
+                                     offset=_HEADER_STRUCT.size)
     if expect_mode is not None and ckpt.mode != expect_mode:
         raise CheckpointMismatchError(
             f"checkpoint was trained in mode {ckpt.mode!r}, but {expect_mode!r} was requested")

@@ -39,7 +39,7 @@ from .errors import (
     StemsepError,
 )
 from .evaluate import dump_spectrogram, dump_stem_grid, evaluate, separate_song
-from .models import ModelBundle, ResidualConfig, build_enhancer, build_separator
+from .models import BUNDLE_MODES, ModelBundle, ResidualConfig, build_enhancer, build_separator
 from .tensor import using_dtype
 from .training import segment_songs, train
 
@@ -82,6 +82,7 @@ def _dtype(values):
 def cmd_train(args) -> int:
     values = _resolved(args)
     sources = cfgmod.source_names(values)
+    model_cfg = cfgmod.model_config(values)
     tracks = load_split(args.dataset, "train", sources=sources)
     pool, val_windows = segment_songs(
         tracks, clip_seconds=values["data.clip_seconds"],
@@ -90,7 +91,7 @@ def cmd_train(args) -> int:
         raise DataError("validation split is empty; add songs or lower data.val_ratio")
     tcfg = cfgmod.train_config(values)
     with using_dtype(_dtype(values)):
-        separator = build_separator(cfgmod.model_config(values), rng=values["train.seed"])
+        separator = build_separator(model_cfg, rng=values["train.seed"])
         residual = ResidualConfig(values["train.residual_iterations"]) \
             if tcfg.mode == "residual" else None
         bundle = ModelBundle(tcfg.mode, separator, residual=residual, sources=sources)
@@ -102,6 +103,7 @@ def cmd_train(args) -> int:
 
 def cmd_train_enhancer(args) -> int:
     values = _resolved(args)
+    enh_cfg = cfgmod.enhancer_model_config(values)
     base = load_checkpoint(args.separator)
     if base.mode != "separator":
         raise CheckpointMismatchError(
@@ -116,7 +118,6 @@ def cmd_train_enhancer(args) -> int:
     tcfg = cfgmod.train_config(values, mode="enhancer")
     with using_dtype(base.dtype()):
         frozen = bundle_from_checkpoint(base)
-        enh_cfg = cfgmod.enhancer_model_config(values)
         enhancers = [build_enhancer(enh_cfg, rng=values["train.seed"] + 1 + s)
                      for s in range(len(sources))]
         bundle = ModelBundle("enhancer", frozen.separator, enhancers=enhancers, sources=sources)
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="mixture WAV file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--mode", choices=("separator", "residual", "enhancer"),
+    p.add_argument("--mode", choices=BUNDLE_MODES,
                    help="require the checkpoint to be of this mode")
     p.add_argument("--format", choices=("float32", "pcm16"), default="float32")
     p.set_defaults(func=cmd_separate)

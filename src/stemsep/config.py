@@ -9,17 +9,20 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .dsp import FREQ_BINS
 from .errors import ConfigError
-from .models import ModelConfig, separator_config, enhancer_config
+from .evaluate import ACCOMPANIMENT_MODES
+from .layers import NORM_KINDS
+from .models import RECURRENCE_KINDS, SKIP_KINDS, ModelConfig, enhancer_config, separator_config
 from .training import TrainConfig
 
 _CHOICES = {
-    "model.skip_kind": ("none", "identity", "conv", "gru"),
-    "model.recurrence": ("skips", "after_tconv4", "none"),
-    "model.norm": ("weight_norm", "batch_norm"),
+    "model.skip_kind": SKIP_KINDS,
+    "model.recurrence": RECURRENCE_KINDS,
+    "model.norm": NORM_KINDS,
     "train.mode": ("separator", "residual"),
     "train.dtype": ("float32", "float64"),
-    "separate.accompaniment": ("nonvocal", "all4"),
+    "separate.accompaniment": ACCOMPANIMENT_MODES,
 }
 
 # key -> (parser, default, help)
@@ -116,10 +119,19 @@ def source_names(values: dict) -> tuple:
     return names
 
 
+def _freq_bins(values: dict) -> int:
+    # The STFT fixes the spectrogram height, so any other value would only
+    # fail at the first training step, after the whole dataset has loaded.
+    if values["model.freq_bins"] != FREQ_BINS:
+        raise ConfigError(f"model.freq_bins={values['model.freq_bins']}; the STFT yields "
+                          f"{FREQ_BINS} bins, so it must be {FREQ_BINS}")
+    return FREQ_BINS
+
+
 def model_config(values: dict) -> ModelConfig:
     return separator_config(
         source_count=len(source_names(values)),
-        freq_bins=values["model.freq_bins"],
+        freq_bins=_freq_bins(values),
         channels=_int_triple(values["model.channels"], "model.channels"),
         kernels=_int_triple(values["model.kernels"], "model.kernels"),
         strides=_int_triple(values["model.strides"], "model.strides"),
@@ -132,7 +144,7 @@ def model_config(values: dict) -> ModelConfig:
 
 def enhancer_model_config(values: dict) -> ModelConfig:
     return enhancer_config(
-        freq_bins=values["model.freq_bins"],
+        freq_bins=_freq_bins(values),
         channels=_int_triple(values["model.channels"], "model.channels"),
         kernels=_int_triple(values["model.kernels"], "model.kernels"),
         strides=_int_triple(values["model.strides"], "model.strides"),

@@ -139,22 +139,25 @@ def wiener_masks(source_mags, mixture: ComplexSpectrogram) -> list[ComplexSpectr
     mask_s = mag_s^2 / max(sum_j mag_j^2, floor); the floor only binds in
     (near-)silent bins, so wherever it does not, the masked sources sum
     exactly to the mixture bin. The mixture phase is inherited.
+
+    The arithmetic runs frame-major, (S, T, F), against ``mixture.data.T``
+    (the contiguous ``rfft`` output of ``stft``). Each returned ``data`` is
+    the (bins, frames) transpose of a contiguous frame-major array, so the
+    ``irfft`` in ``istft`` reads contiguous rows.
     """
-    mags = np.asarray(source_mags, dtype=np.float64)
+    mags = np.asarray(source_mags)
     if mags.ndim != 3:
         raise ShapeError(f"expected source magnitudes of shape (S, F, T), got {mags.shape}")
     if mags.shape[1:] != mixture.data.shape:
         raise ShapeError(f"source magnitudes {mags.shape[1:]} do not match mixture {mixture.data.shape}")
     if np.any(mags < 0):
         raise DataError("negative magnitudes passed to wiener_masks")
-    power = mags * mags
-    denom = np.maximum(power.sum(axis=0), WIENER_POWER_FLOOR)
-    outputs = []
-    for s in range(mags.shape[0]):
-        masked = (power[s] / denom) * mixture.data
-        outputs.append(ComplexSpectrogram(masked, mixture.sample_rate, mixture.length,
-                                          mixture.window_size, mixture.hop_size))
-    return outputs
+    ratios = np.square(mags.transpose(0, 2, 1), dtype=np.float64, order="C")  # (S, T, F) power
+    ratios /= np.maximum(ratios.sum(axis=0), WIENER_POWER_FLOOR)
+    mixture_tf = mixture.data.T
+    return [ComplexSpectrogram((ratio * mixture_tf).T, mixture.sample_rate, mixture.length,
+                               mixture.window_size, mixture.hop_size)
+            for ratio in ratios]
 
 
 def sdr(reference: AudioClip, estimate: AudioClip) -> float | None:

@@ -2,10 +2,16 @@
 weight/batch normalization, and parameter initialization.
 
 Convolutions and the GRU are fused tape operations: each call records
-one op whose hand-written backward rule does the work in BLAS matmuls
-(im2col for convolutions; backpropagation through time for the GRU).
-All layers accept ``(C, T)`` or batched ``(B, C, T)`` inputs and
-preserve the input rank.
+one op whose hand-written backward rule does the work in BLAS matmuls.
+Both convolutions are built on one pair of helpers: ``_gather_taps``
+stacks the K time-shifted copies of a ``(B, C, T)`` input as ``(B, K*C,
+T_out)`` rows, and ``_scatter_taps``, its adjoint, adds such rows back at
+their shifts. A transposed convolution is the adjoint of a convolution
+(Dumoulin & Visin 2016), so each forward and backward product is one GEMM
+per batch item that lands directly in ``(C, T)`` layout, with no
+transpose. The GRU's backward is backpropagation through time. All
+layers accept ``(C, T)`` or batched ``(B, C, T)`` inputs and preserve the
+input rank.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor, accumulate_grad, astensor, get_default_dtype, record_op, reshape
 
-NORM_KINDS = ("weight_norm", "batch_norm", "none")
+NORM_KINDS = ("weight_norm", "batch_norm")
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -39,14 +45,42 @@ def _lift(x):
     raise ShapeError(f"expected (C, T) or (B, C, T) input, got shape {x.data.shape}")
 
 
-def _windows(arr: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    # (B, C, T) -> contiguous (B, T_out, C, K) view copy.
-    b, c, t = arr.shape
-    t_out = (t - kernel) // stride + 1
-    s0, s1, s2 = arr.strides
-    view = np.lib.stride_tricks.as_strided(
-        arr, shape=(b, t_out, c, kernel), strides=(s0, s2 * stride, s1, s2))
-    return np.ascontiguousarray(view)
+def _gather_taps(x: np.ndarray, kernel: int, stride: int, t_out: int) -> np.ndarray:
+    """(B, C, T) -> (B, K*C, t_out); row k*C + c holds x[:, c, k + j*stride].
+
+    The result keeps the memory order of ``x``: a time-major input (the
+    transposed STFT features) gathers into a time-major buffer, which the
+    GEMMs read as a transposed operand, so no copy ever walks across rows.
+    """
+    b, c, _ = x.shape
+    if x.strides[2] > x.strides[1]:
+        taps = np.empty((b, t_out, kernel * c), dtype=x.dtype).transpose(0, 2, 1)
+    else:
+        taps = np.empty((b, kernel * c, t_out), dtype=x.dtype)
+    span = (t_out - 1) * stride + 1
+    for k in range(kernel):
+        taps[:, k * c:(k + 1) * c] = x[:, :, k:k + span:stride]
+    return taps
+
+
+def _scatter_taps(taps: np.ndarray, kernel: int, stride: int, t: int) -> np.ndarray:
+    """Adjoint of ``_gather_taps``: (B, K*C, n) -> (B, C, t), adding the
+    rows of tap k into every stride-th frame from frame k on."""
+    b, kc, n = taps.shape
+    c = kc // kernel
+    out = np.zeros((b, c, t), dtype=taps.dtype)
+    span = (n - 1) * stride + 1
+    for k in range(kernel):
+        out[:, :, k:k + span:stride] += taps[:, k * c:(k + 1) * c]
+    return out
+
+
+def _summed_gemm(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """sum_i lhs[i] (M, N) @ rhs[i].T (N, P), the weight-gradient product."""
+    total = lhs[0] @ rhs[0].T
+    for i in range(1, lhs.shape[0]):
+        total += lhs[i] @ rhs[i].T
+    return total
 
 
 def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int, int] = (0, 0)) -> Tensor:
@@ -65,23 +99,20 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
     if padded.shape[2] < kernel:
         raise ShapeError(f"conv1d: time extent {padded.shape[2]} shorter than kernel {kernel}")
 
-    b, _, t_pad = padded.shape
+    t_pad = padded.shape[2]
     t_out = (t_pad - kernel) // stride + 1
-    cols = _windows(padded, kernel, stride).reshape(b * t_out, c_in * kernel)
-    w2 = weight.data.reshape(c_out, c_in * kernel)
-    out2 = cols @ w2.T + bias.data
-    out_data = out2.reshape(b, t_out, c_out).transpose(0, 2, 1)
-    out = Tensor._wrap(np.ascontiguousarray(out_data))
+    cols = _gather_taps(padded, kernel, stride, t_out)                    # (B, K*C_in, T_out)
+    w2 = weight.data.transpose(0, 2, 1).reshape(c_out, kernel * c_in)    # (C_out, K*C_in)
+    out_data = w2 @ cols
+    out_data += bias.data[:, None]
+    out = Tensor._wrap(out_data)
 
     def backward_rule(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * t_out, c_out)
-        accumulate_grad(weight, (g2.T @ cols).reshape(c_out, c_in, kernel))
-        accumulate_grad(bias, g2.sum(axis=0))
+        dw = _summed_gemm(g, cols).reshape(c_out, kernel, c_in).transpose(0, 2, 1)
+        accumulate_grad(weight, np.ascontiguousarray(dw))
+        accumulate_grad(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = (g2 @ w2).reshape(b, t_out, c_in, kernel)
-            dpad = np.zeros_like(padded)
-            for k in range(kernel):
-                dpad[:, :, k:k + t_out * stride:stride] += dcols[:, :, :, k].transpose(0, 2, 1)
+            dpad = _scatter_taps(w2.T @ g, kernel, stride, t_pad)
             accumulate_grad(x, dpad[:, :, pl:t_pad - pr] if (pl or pr) else dpad)
 
     out = record_op(out, (x, weight, bias), backward_rule)
@@ -96,26 +127,19 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
         raise ShapeError(f"conv_transpose1d: input has {xb.shape[1]} channels, weight expects {c_in}")
-    b, _, t = xb.shape
+    t = xb.shape[2]
     t_out = (t - 1) * stride + kernel
 
-    x2 = np.ascontiguousarray(xb.transpose(0, 2, 1)).reshape(b * t, c_in)
-    w2 = np.ascontiguousarray(weight.data.transpose(1, 0, 2)).reshape(c_in, c_out * kernel)
-    prod = (x2 @ w2).reshape(b, t, c_out, kernel)
-    out_data = np.zeros((b, c_out, t_out), dtype=xb.dtype)
-    for k in range(kernel):
-        out_data[:, :, k:k + t * stride:stride] += prod[:, :, :, k].transpose(0, 2, 1)
+    wk = weight.data.transpose(2, 0, 1).reshape(kernel * c_out, c_in)   # (K*C_out, C_in)
+    out_data = _scatter_taps(wk @ xb, kernel, stride, t_out)
     out_data += bias.data[:, None]
     out = Tensor._wrap(out_data)
 
     def backward_rule(g):
-        gw = _windows(g, kernel, stride)  # (B, T, C_out, K); window t covers t*stride + k
-        gw2 = gw.reshape(b * t, c_out * kernel)
-        wt = np.ascontiguousarray(weight.data.transpose(0, 2, 1)).reshape(c_out * kernel, c_in)
+        gcols = _gather_taps(g, kernel, stride, t)                       # (B, K*C_out, T)
         if x.requires_grad:
-            dx = (gw2 @ wt).reshape(b, t, c_in).transpose(0, 2, 1)
-            accumulate_grad(x, np.ascontiguousarray(dx))
-        dw = (gw2.T @ x2).reshape(c_out, kernel, c_in).transpose(0, 2, 1)
+            accumulate_grad(x, wk.T @ gcols)
+        dw = _summed_gemm(gcols, xb).reshape(kernel, c_out, c_in).transpose(1, 2, 0)
         accumulate_grad(weight, np.ascontiguousarray(dw))
         accumulate_grad(bias, g.sum(axis=(0, 2)))
 

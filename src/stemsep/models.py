@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import GRU, Conv1d
+from .layers import GRU, NORM_KINDS, Conv1d
 from .tensor import (
     Tensor,
     add,
@@ -33,7 +33,7 @@ from .tensor import (
 
 SKIP_KINDS = ("none", "identity", "conv", "gru")
 RECURRENCE_KINDS = ("skips", "after_tconv4", "none")
-MODEL_NORM_KINDS = ("weight_norm", "batch_norm")
+BUNDLE_MODES = ("separator", "residual", "enhancer")
 
 DEFAULT_FREQ_BINS = 1025
 DEFAULT_CHANNELS = (512, 256, 128)
@@ -66,8 +66,8 @@ class ModelConfig:
             raise ConfigError(f"skip_kind {self.skip_kind!r} not in {SKIP_KINDS}")
         if self.recurrence not in RECURRENCE_KINDS:
             raise ConfigError(f"recurrence {self.recurrence!r} not in {RECURRENCE_KINDS}")
-        if self.norm_kind not in MODEL_NORM_KINDS:
-            raise ConfigError(f"norm_kind {self.norm_kind!r} not in {MODEL_NORM_KINDS}")
+        if self.norm_kind not in NORM_KINDS:
+            raise ConfigError(f"norm_kind {self.norm_kind!r} not in {NORM_KINDS}")
         if len(self.encoder_specs) != 3 or len(self.decoder_specs) != 3:
             raise ConfigError("expected exactly three encoder and three decoder layers, got "
                               f"{len(self.encoder_specs)}/{len(self.decoder_specs)}")
@@ -398,7 +398,7 @@ class ModelBundle:
     """Everything a runner needs: the separator plus optional per-source
     enhancers or a residual-iteration schedule."""
 
-    mode: str  # "separator" | "residual" | "enhancer"
+    mode: str  # one of BUNDLE_MODES
     separator: Separator
     enhancers: list | None = None
     residual: ResidualConfig | None = None

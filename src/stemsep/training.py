@@ -19,7 +19,7 @@ import numpy as np
 from . import dsp
 from .audio_io import SOURCES, AudioClip, Track
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .models import ModelBundle, collect_state, residual_forward, restore_state
+from .models import BUNDLE_MODES, ModelBundle, collect_state, residual_forward, restore_state
 from .optim import Adam, build_optimizer
 from .tensor import (
     Tensor,
@@ -36,8 +36,6 @@ from .tensor import (
 )
 
 log = logging.getLogger(__name__)
-
-TRAIN_MODES = ("separator", "residual", "enhancer")
 
 
 @dataclass
@@ -79,8 +77,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.mode not in TRAIN_MODES:
-            raise ConfigError(f"mode {self.mode!r} not in {TRAIN_MODES}")
+        if self.mode not in BUNDLE_MODES:
+            raise ConfigError(f"mode {self.mode!r} not in {BUNDLE_MODES}")
         if self.epoch_batches < 1 or self.max_epochs < 1:
             raise ConfigError("epoch_batches and max_epochs must be >= 1")
 

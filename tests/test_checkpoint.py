@@ -3,6 +3,8 @@ handling, cross-mode mismatch, forward-pass restoration."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_config
 from stemsep import tensor as T
@@ -17,6 +19,7 @@ from stemsep.checkpoint import (
     save_checkpoint,
 )
 from stemsep.errors import (
+    CheckpointError,
     CheckpointMismatchError,
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -153,3 +156,93 @@ def test_float64_checkpoints_supported(tmp_path):
     assert next(iter(loaded.named_parameters()))[1].data.dtype == np.float64
     x = np.random.default_rng(5).normal(size=(12, 16))
     assert np.array_equal(separate(loaded.separator, x), separate(bundle.separator, x))
+
+
+# ---------------------------------------------------------------------------
+# atomic save and malformed bytes
+
+
+class _FailingFile:
+    """A binary file that raises once ``budget`` bytes have been written."""
+
+    def __init__(self, fh, budget):
+        self.fh = fh
+        self.budget = budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(data[:self.budget])
+            raise OSError("injected: no space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("fault", ["header", "tensor", "fsync", "rename"])
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch, fault):
+    import stemsep.checkpoint as ckmod
+
+    _, _, ckpt, path = checkpoint_with_optimizer(tmp_path)
+    before = path.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    ckpt.meta["step"] = 2  # the new save differs from the file on disk
+    if fault in ("header", "tensor"):
+        budget = 30 if fault == "header" else len(before) // 2
+        monkeypatch.setattr(ckmod, "open",
+                            lambda p, mode: _FailingFile(open(p, mode), budget), raising=False)
+    else:
+        def boom(*args):
+            raise OSError(f"injected {fault} failure")
+        monkeypatch.setattr(ckmod.os, "fsync" if fault == "fsync" else "replace", boom)
+    with pytest.raises(OSError, match="injected"):
+        save_checkpoint(path, ckpt)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+def test_save_replaces_existing_checkpoint(tmp_path):
+    _, _, ckpt, path = checkpoint_with_optimizer(tmp_path)
+    ckpt.meta["step"] = 7
+    save_checkpoint(path, ckpt)
+    assert load_checkpoint(path).meta["step"] == 7
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.fixture(scope="module")
+def tiny_blob(tmp_path_factory):
+    with T.using_dtype(np.float32):
+        cfg = tiny_config(skip_kind="identity", freq_bins=3, source_count=1)
+        bundle = ModelBundle("separator", build_separator(cfg, rng=0), sources=("a",))
+    path = tmp_path_factory.mktemp("tiny") / "tiny.ssck"
+    save_checkpoint(path, make_checkpoint(bundle, meta={"step": 1}))
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_truncated_or_mutated_checkpoint_loads_or_raises_checkpoint_error(
+        tiny_blob, tmp_path_factory, data):
+    blob = bytearray(tiny_blob)
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        # Mostly hit the fixed and JSON headers, where a byte changes meaning.
+        stop = data.draw(st.sampled_from([header_end, len(blob)]), label="region")
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            blob[data.draw(st.integers(0, stop - 1), label="at")] = data.draw(
+                st.integers(0, 255), label="byte")
+    path = tmp_path_factory.getbasetemp() / "mutant.ssck"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

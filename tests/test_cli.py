@@ -1,6 +1,8 @@
 """CLI verbs end to end against a synthetic miniature dataset, plus exit
 codes and the config override surface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,81 @@ def test_inspect_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ssck"
     bad.write_bytes(b"not a checkpoint at all")
     assert main(["inspect-checkpoint", "--checkpoint", str(bad)]) == EXIT_DATA
+
+
+def _rewrite_checkpoint(path, edit_header, tail=b""):
+    """Re-serialize ``path`` after ``edit_header(header, data)`` edits the JSON
+    header in place and returns the tensor bytes to keep; ``tail`` is appended."""
+    blob = path.read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:header_end])
+    data = edit_header(header, blob[header_end:])
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:8] + len(header_bytes).to_bytes(8, "little") + header_bytes
+                     + data + tail)
+
+
+def _drop_last_tensor(header, data):
+    last = header["tensors"].pop()
+    return data[:last["offset"]]
+
+
+def _set(entry_edit):
+    def edit(header, data):
+        entry_edit(header)
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("edit,tail", [
+    (_set(lambda h: h.pop("tensors")), b""),
+    (_set(lambda h: h.update(tensors={"param.x": 1})), b""),
+    (_set(lambda h: h.pop("mode")), b""),
+    (_set(lambda h: h.update(sources="drums")), b""),
+    (_set(lambda h: h.update(residual={"steps": 3})), b""),
+    (_set(lambda h: h["model_config"].pop("encoder_specs")), b""),
+    (_set(lambda h: h["tensors"][0].update(dtype="object")), b""),
+    (_set(lambda h: h["tensors"][0].update(dtype="(2,f4")), b""),
+    (_set(lambda h: h["tensors"][0].update(nbytes=h["tensors"][0]["nbytes"] + 4)), b""),
+    (_set(lambda h: h["tensors"][0]["shape"].append(2)), b""),
+    (_drop_last_tensor, b""),
+    (lambda h, data: h.update(tensors=[]) or b"", b""),
+    (_set(lambda h: [e.update(dtype="int32") for e in h["tensors"]]), b""),
+    (_set(lambda h: h.update(mode="bogus")), b""),
+    (_set(lambda h: None), b"\0\0\0\0"),
+], ids=["no-tensors", "tensors-not-list", "no-mode", "sources-not-list", "residual-keys",
+        "model-config-keys", "object-dtype", "unparseable-dtype", "nbytes-mismatch",
+        "shape-mismatch", "missing-parameter", "empty-manifest", "integer-parameters",
+        "unknown-mode", "trailing-bytes"])
+def test_malformed_checkpoint_exits_data_error(tmp_path, caplog, edit, tail):
+    ckpt_path = small_checkpoint(tmp_path)
+    _rewrite_checkpoint(ckpt_path, edit, tail)
+    write_wav(tmp_path / "song.wav", AudioClip.silence(22050), fmt="float32")
+    code = main(["separate", "--checkpoint", str(ckpt_path), "--input", str(tmp_path / "song.wav"),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert "Traceback" not in caplog.text
+
+
+def test_checkpoint_rewrite_helper_is_byte_exact(tmp_path):
+    # So in the cases above only the edit itself can make a load fail.
+    ckpt_path = small_checkpoint(tmp_path)
+    before = ckpt_path.read_bytes()
+    _rewrite_checkpoint(ckpt_path, lambda header, data: data)
+    assert ckpt_path.read_bytes() == before
+
+
+def test_train_rejects_freq_bins_before_loading_data(tmp_path):
+    code = main(["train", "--dataset", str(tmp_path / "nowhere"),
+                 "--out", str(tmp_path / "x.ssck"), "--model.freq_bins", "512"])
+    assert code == EXIT_CONFIG
+
+
+def test_train_enhancer_rejects_freq_bins_before_loading_data(tmp_path):
+    code = main(["train-enhancer", "--dataset", str(tmp_path / "nowhere"),
+                 "--separator", str(tmp_path / "missing.ssck"), "--out", str(tmp_path / "x.ssck"),
+                 "--model.freq_bins", "512"])
+    assert code == EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

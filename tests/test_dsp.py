@@ -240,6 +240,34 @@ def test_mask_conservation_property(seed):
     assert np.allclose(total, mix.data, atol=1e-9)
 
 
+def bins_major_wiener(source_mags, mixture):
+    """The formula ``wiener_masks`` replaced: a float64 copy of the
+    magnitudes, then power, sum and ratios laid out (S, bins, frames)."""
+    mags = np.asarray(source_mags, dtype=np.float64)
+    power = mags * mags
+    denom = np.maximum(power.sum(axis=0), dsp.WIENER_POWER_FLOOR)
+    return [(power[s] / denom) * mixture.data for s in range(mags.shape[0])]
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hops=st.integers(2, 40), sources=st.integers(1, 4),
+       single=st.booleans())
+def test_frame_major_wiener_and_istft_match_bins_major_formula(seed, hops, sources, single):
+    rng = np.random.default_rng(seed)
+    n = hops * dsp.HOP_SIZE + int(rng.integers(0, dsp.HOP_SIZE))
+    mix = dsp.stft(rng.normal(size=n), sample_rate=44100)
+    mags = rng.random((sources,) + mix.data.shape) * np.abs(mix.data)
+    mags[:, rng.random(mix.data.shape) < 0.1] = 0.0  # silent bins: the power floor binds
+    if single:
+        mags = mags.astype(np.float32)  # what separate_song passes
+    masked = dsp.wiener_masks(mags, mix)
+    for got, want in zip(masked, bins_major_wiener(mags, mix), strict=True):
+        assert np.array_equal(got.data, want)
+        assert got.data.T.flags["C_CONTIGUOUS"]  # istft's irfft reads contiguous rows
+        reference = dsp.ComplexSpectrogram(want, mix.sample_rate, mix.length)
+        assert np.array_equal(dsp.istft(got).data, dsp.istft(reference).data)
+
+
 # ---------------------------------------------------------------------------
 # sdr
 

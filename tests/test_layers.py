@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conv_oracle import im2col_conv1d, scatter_conv_transpose1d
 from gru_oracle import composed_gru
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +210,109 @@ def test_tconv_gradients_finite_difference():
     assert T.gradient_check(lambda t: make_loss(t, w, b), x, eps=1e-5) < 1e-4
     assert T.gradient_check(lambda t: make_loss(x, t, b), w, eps=1e-5) < 1e-4
     assert T.gradient_check(lambda t: make_loss(x, w, t), b, eps=1e-5) < 1e-4
+
+
+def _time_major(x):
+    """Same values, time axis outermost in memory, as the STFT features are."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2)
+
+
+def _conv_outputs_and_grads(op, x, w, b, probe, **kwargs):
+    """Forward ``op`` and backpropagate sum(probe * out); returns the output
+    and the gradients of the input, weight and bias."""
+    xt, wt, bt = T.Tensor(x, requires_grad=True), param(w), param(b)
+    out = op(xt, wt, bt, **kwargs)
+    T.backward(T.reduce_sum(T.mul(out, T.Tensor(probe))))
+    return out.data, [xt.grad, wt.grad, bt.grad]
+
+
+def _per_item(oracle, x, *args):
+    return oracle(x, *args) if x.ndim == 2 else np.stack([oracle(xi, *args) for xi in x])
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 3), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
+       k=st.integers(1, 5), stride=st.integers(1, 3), pl=st.integers(0, 2), pr=st.integers(0, 2),
+       extra=st.integers(0, 6), unbatched=st.booleans(), time_major=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv1d_gather_matches_oracles(b, c_in, c_out, k, stride, pl, pr, extra, unbatched,
+                                       time_major, seed):
+    rng = np.random.default_rng(seed)
+    t = max(k - pl - pr, 1) + extra
+    shape = (c_in, t) if unbatched and b == 1 else (b, c_in, t)
+    x = rng.normal(size=shape)
+    if time_major:
+        x = _time_major(x)
+    w = rng.normal(size=(c_out, c_in, k))
+    bias = rng.normal(size=c_out)
+    t_out = (t + pl + pr - k) // stride + 1
+    probe = rng.normal(size=shape[:-2] + (c_out, t_out))
+
+    out, grads = _conv_outputs_and_grads(conv1d, x, w, bias, probe, stride=stride,
+                                         padding=(pl, pr))
+    ref_out, ref_grads = _conv_outputs_and_grads(im2col_conv1d, x, w, bias, probe,
+                                                 stride=stride, padding=(pl, pr))
+    pad = ((0, 0),) * (x.ndim - 1) + ((pl, pr),)
+    loops = _per_item(lambda xi: conv1d_oracle(np.pad(xi, pad[-2:]), w, bias, stride), x)
+    assert out.shape == ref_out.shape == loops.shape
+    assert np.max(np.abs(out - loops)) <= 1e-12
+    for got, want in zip(grads, ref_grads, strict=True):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 3), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
+       k=st.integers(1, 5), stride=st.integers(1, 3), t=st.integers(1, 7),
+       unbatched=st.booleans(), time_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv_transpose1d_scatter_matches_oracles(b, c_in, c_out, k, stride, t, unbatched,
+                                                  time_major, seed):
+    rng = np.random.default_rng(seed)
+    shape = (c_in, t) if unbatched and b == 1 else (b, c_in, t)
+    x = rng.normal(size=shape)
+    if time_major:
+        x = _time_major(x)
+    w = rng.normal(size=(c_out, c_in, k))
+    bias = rng.normal(size=c_out)
+    probe = rng.normal(size=shape[:-2] + (c_out, (t - 1) * stride + k))
+
+    out, grads = _conv_outputs_and_grads(conv_transpose1d, x, w, bias, probe, stride=stride)
+    ref_out, ref_grads = _conv_outputs_and_grads(scatter_conv_transpose1d, x, w, bias, probe,
+                                                 stride=stride)
+    loops = _per_item(lambda xi: tconv1d_oracle(xi, w, bias, stride), x)
+    assert out.shape == ref_out.shape == loops.shape
+    assert np.max(np.abs(out - loops)) <= 1e-12
+    for got, want in zip(grads, ref_grads, strict=True):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def _max_relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("op,oracle,c_in,c_out,frames,time_major", [
+    # First encoder conv on time-major STFT features, as separation feeds it.
+    (conv1d, im2col_conv1d, 1025, 512, 1201, True),
+    (conv_transpose1d, scatter_conv_transpose1d, 512, 4100, 600, False),
+], ids=["first-conv", "last-tconv"])
+def test_conv_kernels_float32_at_model_shapes(op, oracle, c_in, c_out, frames, time_major):
+    rng = rng_for(f"conv-f32-{c_in}-{c_out}")
+    with T.using_dtype(np.float32):
+        x = rng.normal(size=(1, c_in, frames)).astype(np.float32)
+        if time_major:
+            x = _time_major(x)
+        w = (rng.normal(size=(c_out, c_in, 5)) / np.sqrt(5 * c_in)).astype(np.float32)
+        bias = rng.normal(size=c_out).astype(np.float32)
+        t_out = op(T.Tensor(x), param(w), param(bias), stride=2).data.shape[-1]
+        probe = rng.normal(size=(1, c_out, t_out)).astype(np.float32)
+        out, grads = _conv_outputs_and_grads(op, x, w, bias, probe, stride=2)
+        ref_out, ref_grads = _conv_outputs_and_grads(oracle, x, w, bias, probe, stride=2)
+    assert out.dtype == np.float32
+    assert _max_relative_error(out, ref_out) <= 1e-5
+    for got, want in zip(grads, ref_grads, strict=True):
+        assert got.dtype == np.float32
+        assert _max_relative_error(got, want) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
