@@ -34,7 +34,6 @@ from .models import (
     build_separator,
     enhancer_config,
     residual_forward,
-    separate,
     separator_config,
 )
 from .optim import Adam, build_optimizer

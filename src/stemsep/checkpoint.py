@@ -34,6 +34,7 @@ from .models import (
     ResidualConfig,
     build_enhancer,
     build_separator,
+    collect_state,
     restore_state,
 )
 from .optim import Adam, build_optimizer
@@ -80,24 +81,18 @@ def _plain(value):
 def make_checkpoint(bundle: ModelBundle, optimizer: Adam | None = None,
                     meta: dict | None = None) -> Checkpoint:
     """Snapshot a bundle (and optionally its optimizer) into a Checkpoint."""
-    params = {name: p.data.copy() for name, p in bundle.named_parameters()}
-    params.update({name: np.asarray(buf).copy() for name, buf in bundle.named_buffers()})
     opt_state = None
     if optimizer is not None:
         raw = optimizer.state_dict()
-        opt_state = {
-            "t": raw["t"], "beta1": raw["beta1"], "beta2": raw["beta2"], "eps": raw["eps"],
-            "group_lrs": dict(raw["group_lrs"]),
-            "arrays": {name: arr.copy() for name, arr in raw["arrays"].items()},
-        }
-    enhancer_cfg = bundle.enhancers[0].cfg if bundle.enhancers else None
+        opt_state = dict(raw, group_lrs=dict(raw["group_lrs"]),
+                         arrays={name: arr.copy() for name, arr in raw["arrays"].items()})
     return Checkpoint(
         model_config=bundle.separator.cfg,
         mode=bundle.mode,
         sources=tuple(bundle.sources),
-        params=params,
+        params=collect_state(bundle),
         residual=bundle.residual,
-        enhancer_config=enhancer_cfg,
+        enhancer_config=bundle.enhancers[0].cfg if bundle.enhancers else None,
         optimizer=opt_state,
         meta=_plain(meta or {}),
     )
@@ -325,13 +320,11 @@ def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
 
 def parameter_fingerprint(source) -> str:
     """SHA-256 over all parameter names and bytes; accepts a ModelBundle,
-    a Separator-like object with named_parameters, or a name->array dict."""
+    a Separator, or a name->array dict."""
     if isinstance(source, dict):
         items = sorted((name, np.asarray(arr)) for name, arr in source.items())
     elif hasattr(source, "named_parameters"):
-        pairs = (source.named_parameters() if isinstance(source, ModelBundle)
-                 else source.named_parameters(""))
-        items = sorted((name, p.data) for name, p in pairs)
+        items = sorted((name, p.data) for name, p in source.named_parameters())
     else:
         raise TypeError(f"cannot fingerprint {type(source).__name__}")
     digest = hashlib.sha256()

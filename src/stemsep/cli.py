@@ -193,8 +193,7 @@ def cmd_inspect(args) -> int:
     if ckpt.optimizer:
         print(f"optimizer: adam (t={ckpt.optimizer['t']}, lrs={ckpt.optimizer['group_lrs']})")
     for key, value in sorted((ckpt.meta or {}).items()):
-        if not isinstance(value, (list, dict)):
-            print(f"meta.{key}: {value}")
+        print(f"meta.{key}: {value}")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from . import dsp
 from .audio_io import AudioClip, Track, load_track, read_wav, track_dirs
 from .checkpoint import Checkpoint, bundle_from_checkpoint
 from .errors import ConfigError, DataError
-from .models import ModelBundle, residual_forward
+from .models import ModelBundle
 from .tensor import no_grad
 
 log = logging.getLogger(__name__)
@@ -41,21 +41,6 @@ def _as_bundle(model) -> ModelBundle:
     if isinstance(model, Checkpoint):
         return bundle_from_checkpoint(model)
     raise TypeError(f"expected a ModelBundle or Checkpoint, got {type(model).__name__}")
-
-
-def _predict_magnitudes(bundle: ModelBundle, features: np.ndarray) -> np.ndarray:
-    """(F, T) features -> (S, F, T) nonnegative magnitude estimates."""
-    f, t = features.shape
-    with no_grad():
-        if bundle.mode == "residual":
-            out = residual_forward(bundle.separator, features,
-                                   bundle.residual.iterations).final.data
-        else:
-            out = bundle.predict(features).data
-            if out.ndim == 3:
-                out = out[0]
-    sources = bundle.separator.cfg.source_count
-    return dsp.magnitude_from_features(out.reshape(sources, f, t))
 
 
 def separate_song(model, song: AudioClip, accompaniment: str = "nonvocal") -> dict:
@@ -77,7 +62,10 @@ def separate_song(model, song: AudioClip, accompaniment: str = "nonvocal") -> di
     for c in range(song.channels):
         mixture_spec = dsp.stft(song.channel(c), sample_rate=song.sample_rate)
         features = dsp.log1p_magnitude(mixture_spec)
-        mags = np.maximum(_predict_magnitudes(bundle, features), MASK_MAG_FLOOR)
+        with no_grad():
+            mags = bundle.predict(features).data.reshape((len(sources),) + features.shape)
+        # Rebinding frees the log-domain estimates before the next channel's forward.
+        mags = np.maximum(dsp.magnitude_from_features(mags), MASK_MAG_FLOOR)
         for name, masked in zip(sources, dsp.wiener_masks(mags, mixture_spec)):
             per_channel[name].append(dsp.istft(masked).channel(0))
 
@@ -197,34 +185,27 @@ def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
             from .audio_io import SOURCES
             sources = SOURCES
 
-    rows: dict[str, list] = {}
-    skipped: list[str] = []
-
     def run_one(track_dir: Path):
-        track = load_track(track_dir, sources=sources)
-        if bundle is not None:
-            estimates = separate_song(bundle, track.mixture, accompaniment=accompaniment)
-        else:
-            estimates = _load_estimates(Path(estimates_dir), track, sources, accompaniment)
-        return _score_track(track, estimates, sources, accompaniment)
+        """The track's score rows, or None if its data is unusable."""
+        try:
+            track = load_track(track_dir, sources=sources)
+            if bundle is not None:
+                estimates = separate_song(bundle, track.mixture, accompaniment=accompaniment)
+            else:
+                estimates = _load_estimates(Path(estimates_dir), track, sources, accompaniment)
+            return _score_track(track, estimates, sources, accompaniment)
+        except DataError as exc:
+            log.warning("skipping track %s: %s", track_dir.name, exc)
+            return None
 
     dirs = track_dirs(dataset_dir, split)
     if jobs > 1 and bundle is not None:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_one, d): d for d in dirs}
-            for future, d in futures.items():
-                try:
-                    rows[d.name] = future.result()
-                except DataError as exc:
-                    log.warning("skipping track %s: %s", d.name, exc)
-                    skipped.append(d.name)
+            results = list(pool.map(run_one, dirs))
     else:
-        for d in dirs:
-            try:
-                rows[d.name] = run_one(d)
-            except DataError as exc:
-                log.warning("skipping track %s: %s", d.name, exc)
-                skipped.append(d.name)
+        results = [run_one(d) for d in dirs]
+    rows = {d.name: r for d, r in zip(dirs, results) if r is not None}
+    skipped = [d.name for d, r in zip(dirs, results) if r is None]
 
     flat = [row for name in sorted(rows) for row in rows[name]]
     echo = {"split": split, "accompaniment": accompaniment}

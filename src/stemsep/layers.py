@@ -253,6 +253,8 @@ class Conv1d:
     """Convolution (or transposed convolution) layer with selectable
     normalization. Activation is applied by the model, not here."""
 
+    group = "conv"  # optimizer group of every parameter, batch norm's included
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
                  stride: int = 1, padding: tuple[int, int] = (0, 0),
                  transposed: bool = False, norm: str = "weight_norm",
@@ -302,9 +304,6 @@ class Conv1d:
                 out = reshape(out, out.data.shape[1:])
         return out
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for _, p in self.named_parameters(""))
-
     def named_parameters(self, prefix: str):
         yield prefix + "weight", self.weight
         yield prefix + "bias", self.bias
@@ -316,6 +315,9 @@ class Conv1d:
     def named_buffers(self, prefix: str):
         if self.bn is not None:
             yield from self.bn.named_buffers(prefix + "bn.")
+
+    def load_buffer(self, name: str, value: np.ndarray) -> None:
+        self.bn.load_buffer(name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +346,7 @@ class GRU:
     """
 
     GATES = ("z", "r", "h")
+    group = "gru"  # optimizer group: lower learning rate, clipped
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: np.random.Generator | None = None):
@@ -452,9 +455,6 @@ class GRU:
                 accumulate_grad(x, dx[0] if unbatch else dx)
 
         return record_op(out, (x, *params), backward_rule)
-
-    def parameter_count(self) -> int:
-        return sum(p.data.size for _, p in self.named_parameters(""))
 
     def named_parameters(self, prefix: str):
         for gate in self.GATES:

@@ -10,6 +10,12 @@ equals the skip's channel count). The ``after_tconv4`` recurrence variant
 instead threads the first decoder layer's output through a GRU. Decoder
 outputs are cropped or zero-padded at the tail to mirror the encoder
 lengths exactly, so any input length works and skip shapes always match.
+
+One walk, ``modules()``, yields every parameterised layer with its name
+prefix; parameter and buffer traversal, checkpoint state and optimizer
+groups all follow it, and each layer declares its own group (``conv`` or
+``gru``). ``ModelBundle.predict`` is the one inference path for all three
+bundle modes, batched or not.
 """
 
 from __future__ import annotations
@@ -79,14 +85,12 @@ class ModelConfig:
             raise ConfigError(
                 f"decoder layer 3 emits {self.decoder_specs[2][0]} channels; "
                 f"expected source_count*freq_bins = {self.source_count * self.freq_bins}")
-        if self.decoder_specs[0][0] != self.encoder_specs[1][0]:
-            raise ConfigError(
-                f"decoder layer 1 emits {self.decoder_specs[0][0]} channels but the skip from "
-                f"encoder layer 2 carries {self.encoder_specs[1][0]}; they must match")
-        if self.decoder_specs[1][0] != self.encoder_specs[0][0]:
-            raise ConfigError(
-                f"decoder layer 2 emits {self.decoder_specs[1][0]} channels but the skip from "
-                f"encoder layer 1 carries {self.encoder_specs[0][0]}; they must match")
+        for dec, enc in ((0, 1), (1, 0)):  # mirrored skips: decoder 1 <- encoder 2, 2 <- 1
+            if self.decoder_specs[dec][0] != self.encoder_specs[enc][0]:
+                raise ConfigError(
+                    f"decoder layer {dec + 1} emits {self.decoder_specs[dec][0]} channels but the "
+                    f"skip from encoder layer {enc + 1} carries {self.encoder_specs[enc][0]}; "
+                    "they must match")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -157,7 +161,19 @@ def _fit_time(x: Tensor, length: int) -> Tensor:
     return concat([x, astensor(np.zeros(pad_shape, dtype=x.data.dtype))], axis=x.data.ndim - 1)
 
 
-class Separator:
+class _LayerWalk:
+    """Parameter and buffer traversal over ``modules()``, the one walk."""
+
+    def named_parameters(self, prefix: str = ""):
+        for name, layer in self.modules(prefix):
+            yield from layer.named_parameters(name)
+
+    def named_buffers(self, prefix: str = ""):
+        for name, layer in self.modules(prefix):
+            yield from layer.named_buffers(name)
+
+
+class Separator(_LayerWalk):
     """The separation network. Construct through ``build_separator``."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
@@ -255,53 +271,20 @@ class Separator:
             branch = transform(tap)
         return add(decoded, branch)
 
-    def __call__(self, x, training: bool = False) -> Tensor:
-        return self.forward(x, training)
-
     # -- parameter plumbing ------------------------------------------------
 
-    def named_parameters(self, prefix: str = ""):
+    def modules(self, prefix: str = ""):
+        """(name prefix, layer) for every layer with parameters, in the
+        order that names, checkpoints and optimizer groups follow."""
         for i, layer in enumerate(self.encoder):
-            yield from layer.named_parameters(f"{prefix}encoder.{i}.")
+            yield f"{prefix}encoder.{i}.", layer
         for i, layer in enumerate(self.decoder):
-            yield from layer.named_parameters(f"{prefix}decoder.{i}.")
+            yield f"{prefix}decoder.{i}.", layer
         for i, skip in enumerate(self.skips):
             if isinstance(skip, (Conv1d, GRU)):
-                kind = "conv" if isinstance(skip, Conv1d) else "gru"
-                yield from skip.named_parameters(f"{prefix}skip.{i}.{kind}.")
+                yield f"{prefix}skip.{i}.{skip.group}.", skip
         if self.post_gru is not None:
-            yield from self.post_gru.named_parameters(f"{prefix}post_gru.")
-
-    def named_buffers(self, prefix: str = ""):
-        for i, layer in enumerate(self.encoder):
-            yield from layer.named_buffers(f"{prefix}encoder.{i}.")
-        for i, layer in enumerate(self.decoder):
-            yield from layer.named_buffers(f"{prefix}decoder.{i}.")
-        for i, skip in enumerate(self.skips):
-            if isinstance(skip, Conv1d):
-                yield from skip.named_buffers(f"{prefix}skip.{i}.conv.")
-
-    def norm_modules(self, prefix: str = ""):
-        """(prefix, BatchNorm1d) pairs, for buffer save/restore."""
-        for i, layer in enumerate(self.encoder):
-            if layer.bn is not None:
-                yield f"{prefix}encoder.{i}.bn.", layer.bn
-        for i, layer in enumerate(self.decoder):
-            if layer.bn is not None:
-                yield f"{prefix}decoder.{i}.bn.", layer.bn
-        for i, skip in enumerate(self.skips):
-            if isinstance(skip, Conv1d) and skip.bn is not None:
-                yield f"{prefix}skip.{i}.conv.bn.", skip.bn
-
-    def conv_parameters(self, prefix: str = ""):
-        for name, p in self.named_parameters(prefix):
-            if ".gru." not in name and not name.startswith(f"{prefix}post_gru."):
-                yield name, p
-
-    def gru_parameters(self, prefix: str = ""):
-        for name, p in self.named_parameters(prefix):
-            if ".gru." in name or name.startswith(f"{prefix}post_gru."):
-                yield name, p
+            yield f"{prefix}post_gru.", self.post_gru
 
     def parameter_count(self) -> int:
         return sum(p.data.size for _, p in self.named_parameters())
@@ -332,16 +315,6 @@ def build_enhancer(cfg: ModelConfig, rng=None) -> Separator:
     return build_separator(cfg, rng)
 
 
-def separate(model: Separator, mixture_features: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass: (F, T) features in, (S*F, T) estimates out."""
-    feats = np.asarray(mixture_features, dtype=model.dtype)
-    if feats.ndim != 2 or feats.shape[0] != model.cfg.input_channels:
-        raise ShapeError(f"expected ({model.cfg.input_channels}, T) features, got {feats.shape}")
-    with no_grad():
-        out = model.forward(feats, training=False)
-    return out.data
-
-
 @dataclass
 class ResidualOutput:
     """Per-iteration running totals (tape tensors) plus the realized
@@ -363,38 +336,34 @@ def residual_forward(model: Separator, mixture_features, iterations: int,
     output into the totals each iteration."""
     if iterations < 1:
         raise ConfigError(f"residual iterations must be >= 1, got {iterations}")
-    if isinstance(mixture_features, Tensor):
-        mixture = mixture_features
-    else:
-        mixture = Tensor._wrap(np.asarray(mixture_features, dtype=model.dtype))
-    squeeze = mixture.data.ndim == 2
-    if squeeze:
-        mixture = reshape(mixture, (1,) + mixture.data.shape)
-    b, f, t = mixture.data.shape
+    mixture = mixture_features
+    if not isinstance(mixture, Tensor):
+        mixture = Tensor._wrap(np.asarray(mixture, dtype=model.dtype))
+    f, t = mixture.data.shape[-2:]
     out_channels = model.cfg.source_count * model.cfg.freq_bins
     if model.cfg.input_channels != f + out_channels:
         raise ConfigError(
             f"residual mode needs input_channels = {f + out_channels} "
             f"(mixture {f} + totals {out_channels}), model has {model.cfg.input_channels}")
 
-    total = astensor(np.zeros((b, out_channels, t), dtype=mixture.data.dtype))
+    # The channel axis is the second to last for (F, T) and (B, F, T) alike.
+    channel_axis = mixture.data.ndim - 2
+    totals_shape = mixture.data.shape[:-2] + (out_channels, t)
+    total = astensor(np.zeros(totals_shape, dtype=mixture.data.dtype))
     totals, residuals = [], []
     previous_data = total.data
     for _ in range(iterations):
-        step_input = concat([mixture, total], axis=1)
+        step_input = concat([mixture, total], axis=channel_axis)
         increment = model.forward(step_input, training=training)
         total = add(total, increment)
         totals.append(total)
         residuals.append(total.data - previous_data)
         previous_data = total.data
-    if squeeze:
-        totals = [reshape(t_, t_.data.shape[1:]) for t_ in totals]
-        residuals = [r[0] for r in residuals]
     return ResidualOutput(totals, residuals)
 
 
 @dataclass
-class ModelBundle:
+class ModelBundle(_LayerWalk):
     """Everything a runner needs: the separator plus optional per-source
     enhancers or a residual-iteration schedule."""
 
@@ -404,48 +373,42 @@ class ModelBundle:
     residual: ResidualConfig | None = None
     sources: tuple = field(default_factory=tuple)
 
-    def predict(self, mixture_features, training: bool = False):
-        """Forward the bundle's full pipeline on (B, F, T) features."""
+    def predict(self, mixture_features, training: bool = False) -> Tensor:
+        """The bundle's full pipeline: (F, T) or (B, F, T) mixture features
+        in, (S*F, T) or (B, S*F, T) source estimates out."""
         if self.mode == "residual":
             return residual_forward(self.separator, mixture_features,
                                     self.residual.iterations, training=training).final
         if self.mode == "enhancer":
             # The separation model is frozen while enhancers run or train.
             with no_grad():
-                base = self.separator.forward(mixture_features, training=False)
+                base = self.separator.forward(mixture_features, training=False).data
             f = self.separator.cfg.freq_bins
-            parts = []
-            for s, enhancer in enumerate(self.enhancers):
-                block = slice_axis(astensor(base.data), 1, s * f, (s + 1) * f)
-                parts.append(enhancer.forward(block, training=training))
-            return concat(parts, axis=1)
+            parts = [enhancer.forward(base[..., s * f:(s + 1) * f, :], training=training)
+                     for s, enhancer in enumerate(self.enhancers)]
+            return concat(parts, axis=base.ndim - 2)
         return self.separator.forward(mixture_features, training=training)
 
-    def named_parameters(self):
-        yield from self.separator.named_parameters("separator.")
-        for s, enhancer in enumerate(self.enhancers or ()):
-            yield from enhancer.named_parameters(f"enhancer.{s}.")
+    def _parts(self) -> list:
+        """(name prefix, network) pairs: the separator, then each enhancer."""
+        return [("separator.", self.separator)] + [
+            (f"enhancer.{s}.", enhancer) for s, enhancer in enumerate(self.enhancers or ())]
 
-    def named_buffers(self):
-        yield from self.separator.named_buffers("separator.")
-        for s, enhancer in enumerate(self.enhancers or ()):
-            yield from enhancer.named_buffers(f"enhancer.{s}.")
+    def modules(self, prefix: str = ""):
+        for part_prefix, network in self._parts():
+            yield from network.modules(prefix + part_prefix)
 
     def trainable_groups(self):
-        """(conv_params, gru_params) for the parts this mode trains."""
+        """(conv_params, gru_params) for the parts this mode trains, each
+        layer's parameters in the group the layer declares."""
+        parts = self._parts()
         if self.mode == "enhancer":
-            conv, gru = [], []
-            for s, enhancer in enumerate(self.enhancers or ()):
-                conv.extend(enhancer.conv_parameters(f"enhancer.{s}."))
-                gru.extend(enhancer.gru_parameters(f"enhancer.{s}."))
-            return conv, gru
-        return (list(self.separator.conv_parameters("separator.")),
-                list(self.separator.gru_parameters("separator.")))
-
-    def norm_modules(self):
-        yield from self.separator.norm_modules("separator.")
-        for s, enhancer in enumerate(self.enhancers or ()):
-            yield from enhancer.norm_modules(f"enhancer.{s}.")
+            parts = parts[1:]  # the separator is frozen
+        groups = {"conv": [], "gru": []}
+        for part_prefix, network in parts:
+            for name, layer in network.modules(part_prefix):
+                groups[layer.group].extend(layer.named_parameters(name))
+        return groups["conv"], groups["gru"]
 
 
 def collect_state(bundle: ModelBundle) -> dict:
@@ -462,8 +425,7 @@ def restore_state(bundle: ModelBundle, state: dict) -> None:
         if saved.shape != p.data.shape:
             raise ShapeError(f"state for {name} has shape {saved.shape}, expected {p.data.shape}")
         p.data = saved.copy().astype(p.data.dtype)
-    for prefix, bn in bundle.norm_modules():
-        for suffix in ("running_mean", "running_var"):
-            key = prefix + suffix
-            if key in state:
-                bn.load_buffer(key, np.asarray(state[key]))
+    for prefix, layer in bundle.modules():
+        for name, _ in layer.named_buffers(prefix):
+            if name in state:
+                layer.load_buffer(name, np.asarray(state[name]))

@@ -25,6 +25,7 @@ from .tensor import (
     Tensor,
     astensor,
     backward,
+    current_tape,
     get_default_dtype,
     mul,
     no_grad,
@@ -102,9 +103,7 @@ def segment_songs(tracks, clip_seconds: float = 5.0, val_ratio: float = 0.1,
         raise DataError("no songs to segment")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(tracks))
-    n_train = int(round((1.0 - val_ratio) * len(tracks)))
-    if len(tracks) >= 2:
-        n_train = min(max(n_train, 1), len(tracks) - 1)
+    n_train, _ = split_counts(len(tracks), val_ratio)
     train_tracks = [tracks[i] for i in order[:n_train]]
     val_tracks = [tracks[i] for i in order[n_train:]]
 
@@ -239,9 +238,16 @@ def _forward_loss(bundle: ModelBundle, feats, mags, training: bool):
 
 
 def training_step(bundle: ModelBundle, optimizer: Adam, feats, mags) -> StepReport:
-    """One forward/backward/update cycle on an assembled batch."""
+    """One forward/backward/update cycle on an assembled batch.
+
+    A non-finite loss raises DivergenceError before any gradient exists,
+    so parameters and optimizer moments are left as they were.
+    """
     loss, per_iteration = _forward_loss(bundle, feats, mags, training=True)
     value = float(loss.data)
+    if not np.isfinite(value):
+        current_tape().clear()
+        raise DivergenceError(f"non-finite training loss {value}", loss_history=[value])
     backward(loss)
     optimizer.step()
     optimizer.zero_grad()
@@ -299,14 +305,15 @@ def train(bundle: ModelBundle, pool: SourcePool, val_windows, cfg: TrainConfig):
             epoch_losses = []
             for _ in range(cfg.epoch_batches):
                 feats, mags = make_batch(pool, aug_rng, cfg.batch_size)
-                report = training_step(bundle, optimizer, feats, mags)
                 step += 1
+                try:
+                    report = training_step(bundle, optimizer, feats, mags)
+                except DivergenceError as exc:
+                    raise DivergenceError(
+                        f"non-finite training loss at step {step}", step=step,
+                        loss_history=(loss_history + exc.loss_history)[-50:]) from exc
                 loss_history.append(report.loss)
                 epoch_losses.append(report.loss)
-                if not np.isfinite(report.loss):
-                    raise DivergenceError(
-                        f"non-finite training loss at step {step}",
-                        step=step, loss_history=loss_history[-50:])
             vloss = validation_loss(bundle, val_pairs, cfg.batch_size)
             val_history.append(vloss)
             if vloss < best_val:

@@ -1,11 +1,21 @@
-"""Shared helpers: tiny model configurations and the synthetic two-source
-dataset (band-limited noise vs. a harmonic tone complex)."""
+"""Shared helpers: per-name random generators, tiny model configurations,
+eval-mode forward passes and the synthetic two-source dataset
+(band-limited noise vs. a harmonic tone complex)."""
+
+import zlib
 
 import numpy as np
 import pytest
 
+from stemsep import tensor as T
 from stemsep.audio_io import SAMPLE_RATE, AudioClip
 from stemsep.models import ModelConfig, separator_config
+
+
+def rng_for(name: str) -> np.random.Generator:
+    """A generator seeded from a stable digest of ``name``: the same draws
+    in every process, unlike the salted built-in ``hash``."""
+    return np.random.default_rng(zlib.crc32(name.encode("utf-8")))
 
 
 def tiny_config(skip_kind="gru", recurrence="skips", norm_kind="weight_norm",
@@ -17,6 +27,12 @@ def tiny_config(skip_kind="gru", recurrence="skips", norm_kind="weight_norm",
         channels=(8, 6, 4), kernels=(3, 3, 2), strides=(2, 2, 2),
         skip_kind=skip_kind, recurrence=recurrence, norm_kind=norm_kind,
         residual=residual)
+
+
+def eval_forward(model, x) -> np.ndarray:
+    """``Separator.forward`` in eval mode, recording no tape."""
+    with T.no_grad():
+        return model.forward(x).data
 
 
 def tone_waveform(rng: np.random.Generator, num_samples: int, sample_rate: int = SAMPLE_RATE) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SYNTH_SOURCES, synth_clips, tiny_config
+from conftest import SYNTH_SOURCES, rng_for, synth_clips, tiny_config
 from stemsep import dsp
 from stemsep import tensor as T
 from stemsep.audio_io import SOURCES, AudioClip, read_wav, write_wav
@@ -50,10 +50,6 @@ from test_models import composite_gradient_worst_error
 def report(number, name, ok, detail=""):
     print(f"[ACCEPTANCE {number}] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     assert ok, f"criterion {number} ({name}) failed: {detail}"
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 def reduced_separator_config(skip_kind="gru", recurrence="skips", norm_kind="weight_norm"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import rng_for
 from stemsep.audio_io import (
     SOURCES,
     AudioClip,
@@ -13,10 +14,6 @@ from stemsep.audio_io import (
     write_wav,
 )
 from stemsep.errors import DataError
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 def test_float32_wav_roundtrip_is_bit_exact(tmp_path):

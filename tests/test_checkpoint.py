@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import eval_forward, tiny_config
 from stemsep import tensor as T
 from stemsep.checkpoint import (
     FORMAT_MAJOR,
@@ -24,7 +24,7 @@ from stemsep.errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
 )
-from stemsep.models import ModelBundle, ResidualConfig, build_separator, separate
+from stemsep.models import ModelBundle, ResidualConfig, build_separator
 from stemsep.optim import build_optimizer
 
 
@@ -155,7 +155,7 @@ def test_float64_checkpoints_supported(tmp_path):
     loaded = bundle_from_checkpoint(load_checkpoint(path))
     assert next(iter(loaded.named_parameters()))[1].data.dtype == np.float64
     x = np.random.default_rng(5).normal(size=(12, 16))
-    assert np.array_equal(separate(loaded.separator, x), separate(bundle.separator, x))
+    assert np.array_equal(eval_forward(loaded.separator, x), eval_forward(bundle.separator, x))
 
 
 # ---------------------------------------------------------------------------

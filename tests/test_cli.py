@@ -14,7 +14,13 @@ from stemsep.cli import main
 from stemsep.config import load_config_file, resolve
 from stemsep.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError
 from stemsep.evaluate import read_spectrogram_dump
-from stemsep.models import ModelBundle, build_separator, separator_config
+from stemsep.models import (
+    ModelBundle,
+    build_enhancer,
+    build_separator,
+    enhancer_config,
+    separator_config,
+)
 
 from test_audio_io import make_dataset
 
@@ -26,15 +32,20 @@ TINY_MODEL_ARGS = [
 ]
 
 
-def small_checkpoint(tmp_path, sources=SOURCES, seed=0):
+def small_checkpoint(tmp_path, sources=SOURCES, seed=0, mode="separator", meta=None):
     with T.using_dtype(np.float32):
         cfg = separator_config(source_count=len(sources), freq_bins=dsp.FREQ_BINS,
                                channels=(8, 6, 4), kernels=(3, 3, 2), strides=(2, 2, 2),
                                skip_kind="identity")
-        bundle = ModelBundle("separator", build_separator(cfg, rng=seed),
+        enhancers = None
+        if mode == "enhancer":
+            enh_cfg = enhancer_config(freq_bins=dsp.FREQ_BINS, channels=(8, 6, 4),
+                                      kernels=(3, 3, 2))
+            enhancers = [build_enhancer(enh_cfg, rng=seed + 1 + s) for s in range(len(sources))]
+        bundle = ModelBundle(mode, build_separator(cfg, rng=seed), enhancers=enhancers,
                              sources=tuple(sources))
     path = tmp_path / "model.ssck"
-    save_checkpoint(path, make_checkpoint(bundle, meta={"seed": seed, "step": 0}))
+    save_checkpoint(path, make_checkpoint(bundle, meta=meta or {"seed": seed, "step": 0}))
     return path
 
 
@@ -70,6 +81,18 @@ def test_separate_verb_writes_stems(tmp_path):
         clip = read_wav(out_dir / f"{name}.wav")
         assert clip.num_samples == song.num_samples
         assert clip.channels == 2
+
+
+def test_separate_verb_runs_an_enhancer_checkpoint(tmp_path):
+    ckpt_path = small_checkpoint(tmp_path, mode="enhancer")
+    song = AudioClip(0.1 * np.random.default_rng(1).normal(size=(2, 22050)), 44100)
+    write_wav(tmp_path / "song.wav", song, fmt="float32")
+    out_dir = tmp_path / "stems"
+    code = main(["separate", "--checkpoint", str(ckpt_path), "--mode", "enhancer",
+                 "--input", str(tmp_path / "song.wav"), "--out-dir", str(out_dir)])
+    assert code == EXIT_OK
+    for name in list(SOURCES) + ["accompaniment"]:
+        assert read_wav(out_dir / f"{name}.wav").num_samples == song.num_samples
 
 
 def test_separate_mode_mismatch_exit_code(tmp_path):
@@ -146,6 +169,17 @@ def test_inspect_checkpoint(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mode: separator" in printed
     assert "drums" in printed
+
+
+def test_inspect_checkpoint_prints_training_history(tmp_path, capsys):
+    meta = {"best_val_loss": 0.25, "val_history": [0.5, 0.25, 0.375],
+            "best_sequence": [0.5, 0.25]}
+    ckpt_path = small_checkpoint(tmp_path, meta=meta)
+    assert main(["inspect-checkpoint", "--checkpoint", str(ckpt_path)]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert "meta.val_history: [0.5, 0.25, 0.375]" in printed
+    assert "meta.best_sequence: [0.5, 0.25]" in printed
+    assert "meta.best_val_loss: 0.25" in printed
 
 
 def test_inspect_rejects_garbage(tmp_path):

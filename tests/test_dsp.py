@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rng_for
 from stemsep import dsp
 from stemsep.audio_io import AudioClip
 from stemsep.errors import DataError, ShapeError
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 def dft_frame_oracle(padded, frame_index):

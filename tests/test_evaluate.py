@@ -4,6 +4,7 @@ oracle estimates, spectrogram dumps."""
 import numpy as np
 import pytest
 
+from conftest import rng_for
 from stemsep import dsp
 from stemsep import tensor as T
 from stemsep.audio_io import SOURCES, AudioClip, Track, write_wav
@@ -17,13 +18,16 @@ from stemsep.evaluate import (
     read_spectrogram_dump,
     separate_song,
 )
-from stemsep.models import ModelBundle, ResidualConfig, build_separator, separator_config
+from stemsep.models import (
+    ModelBundle,
+    ResidualConfig,
+    build_enhancer,
+    build_separator,
+    enhancer_config,
+    separator_config,
+)
 
 from test_audio_io import make_dataset
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 def full_bins_bundle(mode="separator", sources=SOURCES, seed=0):
@@ -34,7 +38,13 @@ def full_bins_bundle(mode="separator", sources=SOURCES, seed=0):
             skip_kind="identity", residual=(mode == "residual"))
         sep = build_separator(cfg, rng=seed)
         residual = ResidualConfig(2) if mode == "residual" else None
-        return ModelBundle(mode, sep, residual=residual, sources=tuple(sources))
+        enhancers = None
+        if mode == "enhancer":
+            enh_cfg = enhancer_config(freq_bins=dsp.FREQ_BINS, channels=(8, 6, 4),
+                                      kernels=(3, 3, 2))
+            enhancers = [build_enhancer(enh_cfg, rng=seed + 1 + s) for s in range(len(sources))]
+        return ModelBundle(mode, sep, enhancers=enhancers, residual=residual,
+                           sources=tuple(sources))
 
 
 def short_song(seconds=0.5, channels=2, seed="song"):
@@ -90,6 +100,20 @@ def test_residual_bundle_runs_end_to_end():
     bundle = full_bins_bundle(mode="residual")
     stems = separate_song(bundle, short_song(channels=1, seed="res"))
     assert set(stems) == set(SOURCES) | {"accompaniment"}
+
+
+def test_enhancer_bundle_separates_a_song():
+    bundle = full_bins_bundle(mode="enhancer", sources=("noise", "tone"))
+    song = short_song(channels=2, seed="enhancer")
+    stems = separate_song(bundle, song, accompaniment="all4")
+    for clip in stems.values():
+        assert clip.num_samples == song.num_samples
+        assert clip.channels == song.channels
+    total = stems["noise"].data + stems["tone"].data
+    for c in range(song.channels):
+        reference = dsp.istft(dsp.stft(song.channel(c), sample_rate=song.sample_rate)).data[0]
+        rms = np.sqrt(np.mean((total[c] - reference) ** 2)) / np.sqrt(np.mean(reference**2))
+        assert rms < 1e-6
 
 
 def test_bad_accompaniment_mode():

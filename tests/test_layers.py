@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rng_for
 from conv_oracle import im2col_conv1d, scatter_conv_transpose1d
 from gru_oracle import composed_gru
 from hypothesis import given, settings
@@ -20,10 +21,6 @@ from stemsep.optim import Adam, build_optimizer
 def _float64_default():
     with T.using_dtype(np.float64):
         yield
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 def param(data):

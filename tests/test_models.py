@@ -4,10 +4,14 @@ count oracle, gradient flow, residual telescoping, and variant matrix."""
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import eval_forward, rng_for, tiny_config
 from stemsep import tensor as T
 from stemsep.errors import ConfigError, ShapeError
+from stemsep.layers import NORM_KINDS
 from stemsep.models import (
+    BUNDLE_MODES,
+    RECURRENCE_KINDS,
+    SKIP_KINDS,
     ModelBundle,
     ModelConfig,
     ResidualConfig,
@@ -15,7 +19,6 @@ from stemsep.models import (
     build_separator,
     enhancer_config,
     residual_forward,
-    separate,
     separator_config,
 )
 from stemsep.training import mse_loss
@@ -25,10 +28,6 @@ from stemsep.training import mse_loss
 def _float64_default():
     with T.using_dtype(np.float64):
         yield
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ def test_all_variants_share_output_shape():
     for skip_kind in ("none", "identity", "conv", "gru"):
         for recurrence in ("skips", "after_tconv4"):
             model = build_separator(tiny_config(skip_kind, recurrence), rng=1)
-            out = separate(model, x)
+            out = eval_forward(model, x)
             shapes.add(out.shape)
     assert shapes == {(2 * 12, 16)}
 
@@ -103,7 +102,7 @@ def test_after_tconv4_adds_one_gru():
 
 def test_zero_input_finite_output():
     model = build_separator(tiny_config("gru"), rng=3)
-    out = separate(model, np.zeros((12, 16)))
+    out = eval_forward(model, np.zeros((12, 16)))
     assert np.isfinite(out).all()
 
 
@@ -130,7 +129,7 @@ def test_invalid_channel_arithmetic_names_offending_layer():
 def test_wrong_input_channel_count_rejected():
     model = build_separator(tiny_config(), rng=0)
     with pytest.raises(ShapeError):
-        separate(model, np.zeros((13, 16)))
+        eval_forward(model, np.zeros((13, 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +140,20 @@ def test_separate_shape_contract_default_model():
     # The full-size model: (1025, T) in, (4*1025, T) out.
     model = build_separator(
         separator_config(channels=(12, 10, 8), kernels=(5, 5, 3)), rng=0)
-    out = separate(model, rng_for("full-shape").normal(size=(1025, 64)) * 0.1)
+    out = eval_forward(model, rng_for("full-shape").normal(size=(1025, 64)) * 0.1)
     assert out.shape == (4 * 1025, 64)
 
 
 def test_separate_is_deterministic():
     model = build_separator(tiny_config("gru"), rng=5)
     x = rng_for("determ").normal(size=(12, 16))
-    assert np.array_equal(separate(model, x), separate(model, x))
+    assert np.array_equal(eval_forward(model, x), eval_forward(model, x))
 
 
 @pytest.mark.parametrize("t", [7, 16, 23, 31])
 def test_time_extent_preserved_for_arbitrary_lengths(t):
     model = build_separator(tiny_config("identity"), rng=2)
-    out = separate(model, rng_for(f"len-{t}").normal(size=(12, t)))
+    out = eval_forward(model, rng_for(f"len-{t}").normal(size=(12, t)))
     assert out.shape == (24, t)
 
 
@@ -164,7 +163,7 @@ def test_batched_forward_matches_single():
     with T.no_grad():
         batched = model.forward(x).data
     for i in range(3):
-        assert np.allclose(batched[i], separate(model, x[i]), atol=1e-12)
+        assert np.allclose(batched[i], eval_forward(model, x[i]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def test_residual_single_iteration_base_case():
     x = rng_for("residual-base").normal(size=(12, 16))
     out = residual_forward(model, x, iterations=1)
     stacked = np.concatenate([x, np.zeros((24, 16))], axis=0)
-    direct = separate(model, stacked)
+    direct = eval_forward(model, stacked)
     assert np.array_equal(out.totals[0].data, direct)
     assert np.array_equal(out.residuals[0], direct)
 
@@ -282,7 +281,7 @@ def test_residual_iterations_validated():
 def test_enhancer_shape_roundtrip():
     cfg = enhancer_config(freq_bins=12, channels=(8, 6, 4), kernels=(3, 3, 2))
     enhancer = build_enhancer(cfg, rng=19)
-    out = separate(enhancer, rng_for("enh").normal(size=(12, 16)))
+    out = eval_forward(enhancer, rng_for("enh").normal(size=(12, 16)))
     assert out.shape == (12, 16)
 
 
@@ -307,13 +306,75 @@ def test_enhancer_bundle_freezes_separator():
         assert all(grads), f"enhancer {s} missing gradients"
 
 
-def test_bundle_trainable_groups_by_mode():
-    sep = build_separator(tiny_config("gru"), rng=31)
-    bundle = ModelBundle("separator", sep, sources=("a", "b"))
+def tiny_bundle(mode, skip_kind="gru", recurrence="skips", norm_kind="weight_norm"):
+    """A two-source bundle of the given mode over a tiny separator."""
+    cfg = tiny_config(skip_kind, recurrence, norm_kind, residual=(mode == "residual"))
+    enhancers = None
+    if mode == "enhancer":
+        enh_cfg = enhancer_config(freq_bins=12, channels=(8, 6, 4), kernels=(3, 3, 2),
+                                  norm_kind=norm_kind)
+        enhancers = [build_enhancer(enh_cfg, rng=37 + s) for s in range(2)]
+    residual = ResidualConfig(2) if mode == "residual" else None
+    return ModelBundle(mode, build_separator(cfg, rng=31), enhancers=enhancers,
+                       residual=residual, sources=("a", "b"))
+
+
+def expected_parameter_names(cfg: ModelConfig, prefix: str) -> list:
+    """Parameter names in checkpoint and optimizer order, built from the config."""
+    conv = ["weight", "bias"] + (["weight_g"] if cfg.norm_kind == "weight_norm"
+                                 else ["bn.gamma", "bn.beta"])
+    gru = [f"{kind}_{gate}" for gate in "zrh" for kind in "wub"]
+    layers = [(f"{side}.{i}.", conv) for side in ("encoder", "decoder") for i in range(3)]
+    if cfg.skip_kind in ("conv", "gru"):
+        layers += [(f"skip.{i}.{cfg.skip_kind}.", conv if cfg.skip_kind == "conv" else gru)
+                   for i in range(2)]
+    if cfg.recurrence == "after_tconv4":
+        layers.append(("post_gru.", gru))
+    return [prefix + layer + suffix for layer, suffixes in layers for suffix in suffixes]
+
+
+def in_gru_group_by_name(name: str, prefix: str) -> bool:
+    """The name-substring rule that picked the GRU optimizer group before
+    layers declared their own group; kept as the oracle."""
+    return ".gru." in name or name.startswith(f"{prefix}post_gru.")
+
+
+@pytest.mark.parametrize("mode,skip_kind,recurrence,norm_kind", [
+    ("separator", skip_kind, recurrence, norm_kind)
+    for skip_kind in SKIP_KINDS for recurrence in RECURRENCE_KINDS for norm_kind in NORM_KINDS
+] + [
+    ("residual", "gru", "after_tconv4", "batch_norm"),
+    ("enhancer", "gru", "skips", "weight_norm"),
+    ("enhancer", "identity", "after_tconv4", "batch_norm"),
+])
+def test_bundle_trainable_groups_by_mode(mode, skip_kind, recurrence, norm_kind):
+    bundle = tiny_bundle(mode, skip_kind, recurrence, norm_kind)
+    parts = [("separator.", bundle.separator.cfg)]
+    parts += [(f"enhancer.{s}.", e.cfg) for s, e in enumerate(bundle.enhancers or ())]
+    params = dict(bundle.named_parameters())
+    assert list(params) == [n for prefix, cfg in parts for n in expected_parameter_names(cfg, prefix)]
+
+    trained = parts[1:] if mode == "enhancer" else parts  # the separator is frozen
+    expected_conv, expected_gru = [], []
+    for prefix, cfg in trained:
+        for name in expected_parameter_names(cfg, prefix):
+            (expected_gru if in_gru_group_by_name(name, prefix) else expected_conv).append(name)
     conv, gru = bundle.trainable_groups()
-    assert conv and gru
-    assert all(".gru." in n or "post_gru" in n for n, _ in gru)
-    assert not any(".gru." in n or "post_gru" in n for n, _ in conv)
+    assert [n for n, _ in conv] == expected_conv
+    assert [n for n, _ in gru] == expected_gru
+    assert all(p is params[n] for n, p in conv + gru)
+
+
+@pytest.mark.parametrize("mode", BUNDLE_MODES)
+def test_predict_keeps_input_rank(mode):
+    bundle = tiny_bundle(mode)
+    x = rng_for(f"predict-rank-{mode}").normal(size=(12, 16))
+    with T.no_grad():
+        single = bundle.predict(x).data
+        batched = bundle.predict(x[None]).data
+    assert single.shape == (24, 16)
+    assert batched.shape == (1, 24, 16)
+    assert np.array_equal(single, batched[0])
 
 
 def test_tiny_model_overfits_one_pair():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rng_for
 from stemsep import tensor as T
 from stemsep.errors import ShapeError
 
@@ -14,10 +15,6 @@ from stemsep.errors import ShapeError
 def _float64_default():
     with T.using_dtype(np.float64):
         yield
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 # ---------------------------------------------------------------------------

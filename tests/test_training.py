@@ -5,7 +5,7 @@ stopping bookkeeping, residual loss averaging, enhancer freezing)."""
 import numpy as np
 import pytest
 
-from conftest import SYNTH_SOURCES, tiny_config
+from conftest import SYNTH_SOURCES, rng_for, tiny_config
 from stemsep import dsp
 from stemsep import tensor as T
 from stemsep.audio_io import AudioClip, Track
@@ -30,10 +30,6 @@ from stemsep.training import (
 )
 
 SR = 8820  # small sample rate keeps STFT sizes manageable in unit tests
-
-
-def rng_for(name):
-    return np.random.default_rng(abs(hash(name)) % (2**32))
 
 
 def tiny_pool(n_clips=3, seconds=0.6, seed=0, sources=("a", "b")):
@@ -180,6 +176,14 @@ def test_subclips_stay_index_aligned():
 
 def test_ninety_ten_split():
     assert split_counts(100, val_ratio=0.1) == (90, 10)
+
+
+def test_segment_songs_split_matches_split_counts():
+    for n_songs in range(1, 21):
+        # one 10 ms clip per mono song, so clips count songs
+        tracks = [make_track(f"t{i}", 0.01, seed=i) for i in range(n_songs)]
+        pool, val = segment_songs(tracks, clip_seconds=0.01, sources=SYNTH_SOURCES)
+        assert (len(pool.clips["noise"]), len(val)) == split_counts(n_songs), n_songs
 
 
 def test_short_song_skipped_with_warning(caplog):
@@ -350,6 +354,29 @@ def test_divergence_raises_with_snapshot():
             train(bundle, pool, val, cfg)
         assert err.value.step == 1
         assert len(err.value.loss_history) >= 1
+
+
+def test_non_finite_loss_leaves_parameters_and_moments_untouched():
+    with T.using_dtype(np.float32):
+        pool, _ = spectral_pool_and_val(seed=3)
+        bundle = small_bundle(seed=5, skip_kind="gru")
+        conv, gru = bundle.trainable_groups()
+        opt = build_optimizer(conv, gru, 1e-3, 1e-4)
+        feats, mags = make_batch(pool, np.random.default_rng(0), 2)
+        training_step(bundle, opt, feats, mags)  # leaves non-zero Adam moments
+        fingerprint = parameter_fingerprint(bundle)
+        moments = {name: arr.copy() for name, arr in opt.state_dict()["arrays"].items()}
+        feats[0, 3, 1] = np.nan
+        with pytest.raises(DivergenceError) as err:
+            training_step(bundle, opt, feats, mags)
+        assert np.isnan(err.value.loss_history[-1])
+        assert parameter_fingerprint(bundle) == fingerprint
+        assert opt.t == 1
+        for name, arr in opt.state_dict()["arrays"].items():
+            assert np.array_equal(arr, moments[name]), name
+        assert len(T.current_tape()) == 0
+        feats[0, 3, 1] = 0.0
+        assert np.isfinite(training_step(bundle, opt, feats, mags).loss)
 
 
 def test_train_config_validation():
