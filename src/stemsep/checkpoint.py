@@ -84,8 +84,11 @@ def make_checkpoint(bundle: ModelBundle, optimizer: Adam | None = None,
     opt_state = None
     if optimizer is not None:
         raw = optimizer.state_dict()
-        opt_state = dict(raw, group_lrs=dict(raw["group_lrs"]),
-                         arrays={name: arr.copy() for name, arr in raw["arrays"].items()})
+        opt_state = {
+            "t": raw["t"], "beta1": raw["beta1"], "beta2": raw["beta2"], "eps": raw["eps"],
+            "group_lrs": dict(raw["group_lrs"]),
+            "arrays": {name: arr.copy() for name, arr in raw["arrays"].items()},
+        }
     return Checkpoint(
         model_config=bundle.separator.cfg,
         mode=bundle.mode,

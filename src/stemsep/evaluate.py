@@ -20,7 +20,6 @@ import numpy as np
 
 from . import dsp
 from .audio_io import AudioClip, Track, load_track, read_wav, track_dirs
-from .checkpoint import Checkpoint, bundle_from_checkpoint
 from .errors import ConfigError, DataError
 from .models import ModelBundle
 from .tensor import no_grad
@@ -35,15 +34,7 @@ VOCALS = "vocals"
 MASK_MAG_FLOOR = 1e-4
 
 
-def _as_bundle(model) -> ModelBundle:
-    if isinstance(model, ModelBundle):
-        return model
-    if isinstance(model, Checkpoint):
-        return bundle_from_checkpoint(model)
-    raise TypeError(f"expected a ModelBundle or Checkpoint, got {type(model).__name__}")
-
-
-def separate_song(model, song: AudioClip, accompaniment: str = "nonvocal") -> dict:
+def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "nonvocal") -> dict:
     """Split a song into stems plus an accompaniment estimate.
 
     Returns {source_name: AudioClip} with every clip exactly the input
@@ -51,7 +42,6 @@ def separate_song(model, song: AudioClip, accompaniment: str = "nonvocal") -> di
     """
     if accompaniment not in ACCOMPANIMENT_MODES:
         raise ConfigError(f"accompaniment mode {accompaniment!r} not in {ACCOMPANIMENT_MODES}")
-    bundle = _as_bundle(model)
     sources = list(bundle.sources)
     if len(sources) != bundle.separator.cfg.source_count:
         raise ConfigError("checkpoint source names do not match the model's source count")
@@ -172,15 +162,14 @@ def _load_estimates(estimates_dir: Path, track: Track, sources, accompaniment: s
 
 def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
              sources=None, accompaniment: str = "nonvocal", jobs: int = 1) -> EvalReport:
-    """Score every track of a split, via the model or a directory of
+    """Score every track of a split, via a model bundle or a directory of
     pre-rendered estimate stems (oracle evaluation). Tracks with missing
     stems are skipped and noted in the report."""
     if (model is None) == (estimates_dir is None):
-        raise ConfigError("provide exactly one of a model/checkpoint or an estimates directory")
-    bundle = _as_bundle(model) if model is not None else None
+        raise ConfigError("provide exactly one of a model bundle or an estimates directory")
     if sources is None:
-        if bundle is not None:
-            sources = tuple(bundle.sources)
+        if model is not None:
+            sources = tuple(model.sources)
         else:
             from .audio_io import SOURCES
             sources = SOURCES
@@ -189,8 +178,8 @@ def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
         """The track's score rows, or None if its data is unusable."""
         try:
             track = load_track(track_dir, sources=sources)
-            if bundle is not None:
-                estimates = separate_song(bundle, track.mixture, accompaniment=accompaniment)
+            if model is not None:
+                estimates = separate_song(model, track.mixture, accompaniment=accompaniment)
             else:
                 estimates = _load_estimates(Path(estimates_dir), track, sources, accompaniment)
             return _score_track(track, estimates, sources, accompaniment)
@@ -199,7 +188,7 @@ def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
             return None
 
     dirs = track_dirs(dataset_dir, split)
-    if jobs > 1 and bundle is not None:
+    if jobs > 1 and model is not None:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_one, dirs))
     else:
@@ -209,9 +198,9 @@ def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
 
     flat = [row for name in sorted(rows) for row in rows[name]]
     echo = {"split": split, "accompaniment": accompaniment}
-    if bundle is not None:
-        echo["model"] = bundle.separator.cfg.to_dict()
-        echo["mode"] = bundle.mode
+    if model is not None:
+        echo["model"] = model.separator.cfg.to_dict()
+        echo["mode"] = model.mode
     return EvalReport(flat, skipped=sorted(skipped), config_echo=echo)
 
 

@@ -85,12 +85,14 @@ class ModelConfig:
             raise ConfigError(
                 f"decoder layer 3 emits {self.decoder_specs[2][0]} channels; "
                 f"expected source_count*freq_bins = {self.source_count * self.freq_bins}")
-        for dec, enc in ((0, 1), (1, 0)):  # mirrored skips: decoder 1 <- encoder 2, 2 <- 1
-            if self.decoder_specs[dec][0] != self.encoder_specs[enc][0]:
-                raise ConfigError(
-                    f"decoder layer {dec + 1} emits {self.decoder_specs[dec][0]} channels but the "
-                    f"skip from encoder layer {enc + 1} carries {self.encoder_specs[enc][0]}; "
-                    "they must match")
+        if self.decoder_specs[0][0] != self.encoder_specs[1][0]:
+            raise ConfigError(
+                f"decoder layer 1 emits {self.decoder_specs[0][0]} channels but the skip from "
+                f"encoder layer 2 carries {self.encoder_specs[1][0]}; they must match")
+        if self.decoder_specs[1][0] != self.encoder_specs[0][0]:
+            raise ConfigError(
+                f"decoder layer 2 emits {self.decoder_specs[1][0]} channels but the skip from "
+                f"encoder layer 1 carries {self.encoder_specs[0][0]}; they must match")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -161,19 +163,7 @@ def _fit_time(x: Tensor, length: int) -> Tensor:
     return concat([x, astensor(np.zeros(pad_shape, dtype=x.data.dtype))], axis=x.data.ndim - 1)
 
 
-class _LayerWalk:
-    """Parameter and buffer traversal over ``modules()``, the one walk."""
-
-    def named_parameters(self, prefix: str = ""):
-        for name, layer in self.modules(prefix):
-            yield from layer.named_parameters(name)
-
-    def named_buffers(self, prefix: str = ""):
-        for name, layer in self.modules(prefix):
-            yield from layer.named_buffers(name)
-
-
-class Separator(_LayerWalk):
+class Separator:
     """The separation network. Construct through ``build_separator``."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
@@ -282,9 +272,18 @@ class Separator(_LayerWalk):
             yield f"{prefix}decoder.{i}.", layer
         for i, skip in enumerate(self.skips):
             if isinstance(skip, (Conv1d, GRU)):
-                yield f"{prefix}skip.{i}.{skip.group}.", skip
+                kind = "conv" if isinstance(skip, Conv1d) else "gru"
+                yield f"{prefix}skip.{i}.{kind}.", skip
         if self.post_gru is not None:
             yield f"{prefix}post_gru.", self.post_gru
+
+    def named_parameters(self, prefix: str = ""):
+        for name, layer in self.modules(prefix):
+            yield from layer.named_parameters(name)
+
+    def named_buffers(self, prefix: str = ""):
+        for name, layer in self.modules(prefix):
+            yield from layer.named_buffers(name)
 
     def parameter_count(self) -> int:
         return sum(p.data.size for _, p in self.named_parameters())
@@ -363,7 +362,7 @@ def residual_forward(model: Separator, mixture_features, iterations: int,
 
 
 @dataclass
-class ModelBundle(_LayerWalk):
+class ModelBundle:
     """Everything a runner needs: the separator plus optional per-source
     enhancers or a residual-iteration schedule."""
 
@@ -394,9 +393,18 @@ class ModelBundle(_LayerWalk):
         return [("separator.", self.separator)] + [
             (f"enhancer.{s}.", enhancer) for s, enhancer in enumerate(self.enhancers or ())]
 
-    def modules(self, prefix: str = ""):
+    def modules(self):
+        """(name prefix, layer) over the separator, then each enhancer."""
         for part_prefix, network in self._parts():
-            yield from network.modules(prefix + part_prefix)
+            yield from network.modules(part_prefix)
+
+    def named_parameters(self):
+        for name, layer in self.modules():
+            yield from layer.named_parameters(name)
+
+    def named_buffers(self):
+        for name, layer in self.modules():
+            yield from layer.named_buffers(name)
 
     def trainable_groups(self):
         """(conv_params, gru_params) for the parts this mode trains, each
