@@ -64,9 +64,6 @@ class AudioClip:
             return self
         return AudioClip(self.data.mean(axis=0), self.sample_rate)
 
-    def slice(self, start: int, stop: int) -> "AudioClip":
-        return AudioClip(self.data[:, start:stop].copy(), self.sample_rate)
-
     @staticmethod
     def silence(num_samples: int, channels: int = 1, sample_rate: int = SAMPLE_RATE) -> "AudioClip":
         return AudioClip(np.zeros((channels, num_samples)), sample_rate)

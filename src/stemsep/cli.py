@@ -20,7 +20,6 @@ from .audio_io import load_split, load_track, read_wav, write_wav
 from .checkpoint import (
     bundle_from_checkpoint,
     load_checkpoint,
-    make_checkpoint,
     save_checkpoint,
 )
 from .errors import (
@@ -79,6 +78,20 @@ def _dtype(values):
 # Verbs
 
 
+def _train_and_save(out, bundle, pool, val_windows, tcfg):
+    """Train and save the best state to ``out``. A run that diverges after
+    its first validation saves its best state before the error propagates."""
+    try:
+        ckpt = train(bundle, pool, val_windows, tcfg)
+    except DivergenceError as exc:
+        if exc.checkpoint is not None:
+            save_checkpoint(out, exc.checkpoint)
+            log.error("saved the best state before divergence to %s", out)
+        raise
+    save_checkpoint(out, ckpt)
+    return ckpt
+
+
 def cmd_train(args) -> int:
     values = _resolved(args)
     sources = cfgmod.source_names(values)
@@ -89,14 +102,13 @@ def cmd_train(args) -> int:
         val_ratio=values["data.val_ratio"], seed=values["train.seed"], sources=sources)
     if not val_windows:
         raise DataError("validation split is empty; add songs or lower data.val_ratio")
-    tcfg = cfgmod.train_config(values)
+    mode = values["train.mode"]
     with using_dtype(_dtype(values)):
         separator = build_separator(model_cfg, rng=values["train.seed"])
         residual = ResidualConfig(values["train.residual_iterations"]) \
-            if tcfg.mode == "residual" else None
-        bundle = ModelBundle(tcfg.mode, separator, residual=residual, sources=sources)
-        ckpt = train(bundle, pool, val_windows, tcfg)
-    save_checkpoint(args.out, ckpt)
+            if mode == "residual" else None
+        bundle = ModelBundle(mode, separator, residual=residual, sources=sources)
+        ckpt = _train_and_save(args.out, bundle, pool, val_windows, cfgmod.train_config(values))
     log.info("saved checkpoint to %s (best val loss %.6f)", args.out, ckpt.meta["best_val_loss"])
     return EXIT_OK
 
@@ -115,14 +127,12 @@ def cmd_train_enhancer(args) -> int:
         val_ratio=values["data.val_ratio"], seed=values["train.seed"], sources=sources)
     if not val_windows:
         raise DataError("validation split is empty; add songs or lower data.val_ratio")
-    tcfg = cfgmod.train_config(values, mode="enhancer")
     with using_dtype(base.dtype()):
         frozen = bundle_from_checkpoint(base)
         enhancers = [build_enhancer(enh_cfg, rng=values["train.seed"] + 1 + s)
                      for s in range(len(sources))]
         bundle = ModelBundle("enhancer", frozen.separator, enhancers=enhancers, sources=sources)
-        ckpt = train(bundle, pool, val_windows, tcfg)
-    save_checkpoint(args.out, ckpt)
+        _train_and_save(args.out, bundle, pool, val_windows, cfgmod.train_config(values))
     log.info("saved enhancer checkpoint to %s", args.out)
     return EXIT_OK
 
@@ -167,8 +177,7 @@ def cmd_dump_spec(args) -> int:
         if args.checkpoint:
             model = bundle_from_checkpoint(load_checkpoint(args.checkpoint))
         track = load_track(args.track_dir, require_stems=(model is None))
-        written = dump_stem_grid(track, args.out_dir, model=model,
-                                 sources=tuple(track.stems.keys()))
+        written = dump_stem_grid(track, args.out_dir, model=model)
         log.info("wrote %d matrices to %s", len(written), args.out_dir)
     else:
         if not args.out:

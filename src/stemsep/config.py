@@ -152,7 +152,7 @@ def enhancer_model_config(values: dict) -> ModelConfig:
     )
 
 
-def train_config(values: dict, mode: str | None = None) -> TrainConfig:
+def train_config(values: dict) -> TrainConfig:
     return TrainConfig(
         batch_size=values["train.batch_size"],
         lr_conv=values["train.lr_conv"],
@@ -160,8 +160,6 @@ def train_config(values: dict, mode: str | None = None) -> TrainConfig:
         max_epochs=values["train.max_epochs"],
         patience=values["train.patience"],
         seed=values["train.seed"],
-        mode=mode or values["train.mode"],
-        residual_iterations=values["train.residual_iterations"],
         epoch_batches=values["train.epoch_batches"],
         gru_clip_norm=values["train.gru_clip_norm"],
     )

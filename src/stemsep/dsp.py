@@ -1,11 +1,13 @@
 """Signal processing: STFT analysis/synthesis, log1p features, Wiener
 soft masks, and a simplified signal-to-distortion ratio.
 
-The STFT uses a periodic Hann window of 2048 samples with hop 1024
-(half-overlap satisfies the constant-overlap-add condition exactly) and
-reflection padding of half a window on both ends, so the inverse
-transform reconstructs interior samples to better than 1e-6 relative
-RMS. Masking is a single-pass power-ratio soft mask applied to the
+The geometry is fixed: every STFT uses a periodic Hann window of 2048
+samples with hop 1024 (half-overlap satisfies the constant-overlap-add
+condition exactly) and reflection padding of half a window on both ends,
+so a spectrogram carries only its data, sample rate and signal length,
+and the inverse transform reconstructs interior samples to better than
+1e-6 relative RMS. ``stft`` takes one 1-D channel; callers split stereo
+first. Masking is a single-pass power-ratio soft mask applied to the
 complex mixture with the mixture's phase; the SDR here is a plain
 energy ratio over the whole track, not the full BSS-Eval decomposition.
 """
@@ -26,10 +28,10 @@ WIENER_POWER_FLOOR = 1e-10
 SDR_CAP_DB = 100.0
 
 
-def hann_window(size: int = WINDOW_SIZE) -> np.ndarray:
-    """Periodic Hann window: w[n] + w[n + size/2] == 1 at half-overlap."""
-    n = np.arange(size)
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / size))
+def hann_window() -> np.ndarray:
+    """Periodic Hann window: w[n] + w[n + hop] == 1 at half-overlap."""
+    n = np.arange(WINDOW_SIZE)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / WINDOW_SIZE))
 
 
 @dataclass
@@ -39,8 +41,6 @@ class ComplexSpectrogram:
     data: np.ndarray
     sample_rate: int
     length: int  # samples in the originating signal; drives exact-length synthesis
-    window_size: int = WINDOW_SIZE
-    hop_size: int = HOP_SIZE
 
     @property
     def bins(self) -> int:
@@ -50,75 +50,50 @@ class ComplexSpectrogram:
     def frames(self) -> int:
         return self.data.shape[1]
 
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.data)
 
-
-def _as_mono_samples(clip) -> tuple[np.ndarray, int]:
-    if isinstance(clip, AudioClip):
-        if clip.channels != 1:
-            raise DataError("stft expects a single-channel clip; split channels first")
-        return clip.channel(0), clip.sample_rate
-    samples = np.asarray(clip, dtype=np.float64)
-    if samples.ndim != 1:
-        raise DataError(f"stft expects a 1-D signal, got shape {samples.shape}")
-    return samples, 0
-
-
-def stft(clip, sample_rate: int | None = None) -> ComplexSpectrogram:
-    """Hann-windowed STFT with reflection padding of window/2 per side.
+def stft(samples: np.ndarray, sample_rate: int = 0) -> ComplexSpectrogram:
+    """Hann-windowed STFT of a 1-D signal with reflection padding of
+    window/2 per side.
 
     Frame count is 1 + floor((N + window - window) / hop) = 1 + floor(N / hop)
     for an N-sample input.
     """
-    samples, rate = _as_mono_samples(clip)
-    if sample_rate is not None:
-        rate = sample_rate
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise DataError(f"stft expects a 1-D signal, got shape {samples.shape}")
     n = samples.size
     if n < WINDOW_SIZE:
         raise DataError(f"signal of {n} samples is shorter than one {WINDOW_SIZE}-sample window")
-    half = WINDOW_SIZE // 2
-    padded = np.pad(samples, half, mode="reflect")
+    padded = np.pad(samples, WINDOW_SIZE // 2, mode="reflect")
     segments = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[::HOP_SIZE]
     segments = segments * hann_window()
     spec = np.fft.rfft(segments, n=WINDOW_SIZE, axis=1).T  # (bins, frames)
-    return ComplexSpectrogram(spec, rate, n)
-
-
-def _overlap_add(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    # Half-overlap: hop slot k receives the first half of frame k and the
-    # second half of frame k - 1, so a slot never has more than two addends.
-    frames, hop = first.shape
-    out = np.zeros((frames + 1, hop))
-    out[:-1] += first
-    out[1:] += second
-    return out.reshape(-1)
+    return ComplexSpectrogram(spec, sample_rate, n)
 
 
 def istft(spec: ComplexSpectrogram) -> AudioClip:
     """Weighted overlap-add inverse with the analysis window as synthesis
-    window, normalized by the accumulated squared-window envelope."""
-    if spec.bins != spec.window_size // 2 + 1:
-        raise ShapeError(f"spectrogram has {spec.bins} bins, expected {spec.window_size // 2 + 1}")
-    if spec.window_size != 2 * spec.hop_size:
-        raise ShapeError(f"istft needs hop = window / 2, got window {spec.window_size} "
-                         f"and hop {spec.hop_size}")
-    window = hann_window(spec.window_size)
-    frames = spec.frames
-    hop = spec.hop_size
-    total = (frames - 1) * hop + spec.window_size
-    segments = np.fft.irfft(spec.data.T, n=spec.window_size, axis=1)
+    window, normalized by the accumulated squared-window envelope.
+
+    At half-overlap, hop slot k receives the first half of frame k and the
+    second half of frame k - 1, so the envelope of every interior slot is
+    the same hop-long sum, and the last slot holds only a second half.
+    Slot 0 is the reflection padding and is never returned.
+    """
+    if spec.bins != FREQ_BINS:
+        raise ShapeError(f"spectrogram has {spec.bins} bins, expected {FREQ_BINS}")
+    window = hann_window()
+    segments = np.fft.irfft(spec.data.T, n=WINDOW_SIZE, axis=1)
     segments *= window
-    out = _overlap_add(segments[:, :hop], segments[:, hop:])
+    out = np.zeros((spec.frames + 1, HOP_SIZE))
+    out[:-1] += segments[:, :HOP_SIZE]
+    out[1:] += segments[:, HOP_SIZE:]
     wsq = window * window
-    envelope = _overlap_add(np.broadcast_to(wsq[:hop], (frames, hop)),
-                            np.broadcast_to(wsq[hop:], (frames, hop)))
-    out /= np.maximum(envelope, 1e-12)
-    half = spec.window_size // 2
-    length = spec.length if spec.length else max(total - 2 * half, 0)
-    samples = out[half:half + length]
-    if samples.size < length:
-        samples = np.pad(samples, (0, length - samples.size))
+    out[1:-1] /= wsq[:HOP_SIZE] + wsq[HOP_SIZE:]
+    out[-1] /= np.maximum(wsq[HOP_SIZE:], 1e-12)
+    samples = out.reshape(-1)[HOP_SIZE:HOP_SIZE + spec.length]
+    if samples.size < spec.length:
+        samples = np.pad(samples, (0, spec.length - samples.size))
     return AudioClip(samples, spec.sample_rate)
 
 
@@ -155,8 +130,7 @@ def wiener_masks(source_mags, mixture: ComplexSpectrogram) -> list[ComplexSpectr
     ratios = np.square(mags.transpose(0, 2, 1), dtype=np.float64, order="C")  # (S, T, F) power
     ratios /= np.maximum(ratios.sum(axis=0), WIENER_POWER_FLOOR)
     mixture_tf = mixture.data.T
-    return [ComplexSpectrogram((ratio * mixture_tf).T, mixture.sample_rate, mixture.length,
-                               mixture.window_size, mixture.hop_size)
+    return [ComplexSpectrogram((ratio * mixture_tf).T, mixture.sample_rate, mixture.length)
             for ratio in ratios]
 
 

@@ -18,16 +18,18 @@ class DataError(StemsepError, ValueError):
 
 
 class DivergenceError(StemsepError, RuntimeError):
-    """Training produced a non-finite loss.
+    """Training produced a non-finite loss or gradient.
 
     Carries a diagnostic snapshot: the step index and the recent loss
-    history leading up to the failure.
+    history leading up to the failure, plus, once a validation has run,
+    the checkpoint of the best state seen so far.
     """
 
-    def __init__(self, message, step=None, loss_history=None):
+    def __init__(self, message, step=None, loss_history=None, checkpoint=None):
         super().__init__(message)
         self.step = step
         self.loss_history = list(loss_history or [])
+        self.checkpoint = checkpoint
 
 
 class CheckpointError(StemsepError):

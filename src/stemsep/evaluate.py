@@ -208,16 +208,11 @@ def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
 # Spectrogram dumps
 
 
-def dump_spectrogram(clip_or_features, path) -> None:
-    """Write log1p magnitudes as whitespace-delimited text: one "F T"
-    header line, then F rows of T columns. Stereo input is downmixed."""
-    if isinstance(clip_or_features, AudioClip):
-        mono = clip_or_features.mono()
-        matrix = dsp.log1p_magnitude(dsp.stft(mono.channel(0), sample_rate=mono.sample_rate))
-    else:
-        matrix = np.asarray(clip_or_features, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise DataError(f"expected a (F, T) matrix, got shape {matrix.shape}")
+def dump_spectrogram(clip: AudioClip, path) -> None:
+    """Write a clip's log1p magnitudes as whitespace-delimited text: one
+    "F T" header line, then F rows of T columns. Stereo is downmixed."""
+    mono = clip.mono()
+    matrix = dsp.log1p_magnitude(dsp.stft(mono.channel(0), sample_rate=mono.sample_rate))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(path, matrix, fmt="%.9e", header=f"{matrix.shape[0]} {matrix.shape[1]}",
@@ -237,11 +232,11 @@ def read_spectrogram_dump(path) -> np.ndarray:
     return matrix
 
 
-def dump_stem_grid(track: Track, out_dir, model=None, sources=None) -> list:
+def dump_stem_grid(track: Track, out_dir, model=None) -> list:
     """Per-source groundtruth (and, with a model, estimate) matrices plus
     the mixture, mirroring a groundtruth-row / estimate-row figure."""
     out_dir = Path(out_dir)
-    sources = tuple(sources or track.stems.keys())
+    sources = tuple(track.stems)
     written = []
 
     def emit(name, clip):

@@ -9,9 +9,8 @@ T_out)`` rows, and ``_scatter_taps``, its adjoint, adds such rows back at
 their shifts. A transposed convolution is the adjoint of a convolution
 (Dumoulin & Visin 2016), so each forward and backward product is one GEMM
 per batch item that lands directly in ``(C, T)`` layout, with no
-transpose. The GRU's backward is backpropagation through time. All
-layers accept ``(C, T)`` or batched ``(B, C, T)`` inputs and preserve the
-input rank.
+transpose. The GRU's backward is backpropagation through time. Every
+layer takes ``(B, C, T)`` only; the model lifts a single ``(C, T)`` input.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, accumulate_grad, astensor, get_default_dtype, record_op, reshape
+from .tensor import Tensor, accumulate_grad, astensor, get_default_dtype, record_op
 
 NORM_KINDS = ("weight_norm", "batch_norm")
 
@@ -36,13 +35,11 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 # Functional convolution ops
 
 
-def _lift(x):
+def _batched(x) -> Tensor:
     x = astensor(x)
-    if x.data.ndim == 2:
-        return reshape(x, (1,) + x.data.shape), True
-    if x.data.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected (C, T) or (B, C, T) input, got shape {x.data.shape}")
+    if x.data.ndim != 3:
+        raise ShapeError(f"expected (B, C, T) input, got shape {x.data.shape}")
+    return x
 
 
 def _gather_taps(x: np.ndarray, kernel: int, stride: int, t_out: int) -> np.ndarray:
@@ -89,7 +86,7 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
     ``weight`` has shape (out_channels, in_channels, kernel); output time
     extent is floor((T + pad - K) / stride) + 1.
     """
-    x, unbatch = _lift(x)
+    x = _batched(x)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
@@ -115,14 +112,13 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
             dpad = _scatter_taps(w2.T @ g, kernel, stride, t_pad)
             accumulate_grad(x, dpad[:, :, pl:t_pad - pr] if (pl or pr) else dpad)
 
-    out = record_op(out, (x, weight, bias), backward_rule)
-    return reshape(out, out.data.shape[1:]) if unbatch else out
+    return record_op(out, (x, weight, bias), backward_rule)
 
 
 def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Gradient-of-convolution semantics: output time = (T - 1) * stride + K,
     with overlapping contributions summed."""
-    x, unbatch = _lift(x)
+    x = _batched(x)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
@@ -143,8 +139,7 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor
         accumulate_grad(weight, np.ascontiguousarray(dw))
         accumulate_grad(bias, g.sum(axis=(0, 2)))
 
-    out = record_op(out, (x, weight, bias), backward_rule)
-    return reshape(out, out.data.shape[1:]) if unbatch else out
+    return record_op(out, (x, weight, bias), backward_rule)
 
 
 def weight_normalized(v: Tensor, g: Tensor) -> Tensor:
@@ -179,11 +174,12 @@ class BatchNorm1d:
     if none were ever recorded. Population (biased) variance throughout.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    MOMENTUM = 0.1
+    EPS = 1e-5
+
+    def __init__(self, channels: int):
         dt = get_default_dtype()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels, dtype=dt), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dt), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dt)
@@ -197,7 +193,7 @@ class BatchNorm1d:
         if training:
             mean = x.data.mean(axis=(0, 2))
             var = x.data.var(axis=(0, 2))
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
             self.batches_tracked += 1
@@ -207,7 +203,7 @@ class BatchNorm1d:
             mean = self.running_mean
             var = self.running_var
 
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x.data - mean[:, None]) * inv_std[:, None]
         out = Tensor._wrap(self.gamma.data[:, None] * xhat + self.beta.data[:, None])
         gamma, beta = self.gamma, self.beta
@@ -296,12 +292,7 @@ class Conv1d:
         else:
             out = conv1d(x, w, self.bias, stride=self.stride, padding=self.padding)
         if self.bn is not None:
-            squeeze = out.data.ndim == 2
-            if squeeze:
-                out = reshape(out, (1,) + out.data.shape)
             out = self.bn(out, training)
-            if squeeze:
-                out = reshape(out, out.data.shape[1:])
         return out
 
     def named_parameters(self, prefix: str):
@@ -364,13 +355,9 @@ class GRU:
                                   requires_grad=True)
             self.b[gate] = Tensor(np.zeros(hidden_size, dtype=dt), requires_grad=True)
 
-    def __call__(self, x, h0: np.ndarray | None = None) -> Tensor:
-        x = astensor(x)
-        xd = x.data
-        if xd.ndim not in (2, 3):
-            raise ShapeError(f"expected (C, T) or (B, C, T) input, got shape {xd.shape}")
-        unbatch = xd.ndim == 2
-        xb = xd[None] if unbatch else xd
+    def __call__(self, x) -> Tensor:
+        x = _batched(x)
+        xb = x.data
         b, c, t = xb.shape
         if c != self.input_size:
             raise ShapeError(f"gru: input has {c} channels, expected {self.input_size}")
@@ -380,13 +367,7 @@ class GRU:
 
         # hs[:, i] is the state entering frame i; hs[:, 1:] is the output.
         hs = np.empty((b, t + 1, hsize), dtype=dt)
-        if h0 is None:
-            hs[:, 0] = 0.0
-        else:
-            h0 = np.asarray(h0, dtype=xb.dtype)
-            if h0.shape != (hsize,):
-                raise ShapeError(f"gru: h0 has shape {h0.shape}, expected ({hsize},)")
-            hs[:, 0] = h0
+        hs[:, 0] = 0.0
 
         w_all = np.concatenate([self.w[g].data for g in self.GATES])   # (3H, C)
         u_zr = np.concatenate([self.u["z"].data, self.u["r"].data])    # (2H, H)
@@ -412,11 +393,10 @@ class GRU:
             h_next *= z
             h_next += h
 
-        out_data = np.ascontiguousarray(hs[:, 1:].transpose(0, 2, 1))
-        out = Tensor._wrap(out_data[0] if unbatch else out_data)
+        out = Tensor._wrap(np.ascontiguousarray(hs[:, 1:].transpose(0, 2, 1)))
 
         def backward_rule(grad):
-            gh = (grad[None] if unbatch else grad).transpose(0, 2, 1)  # (B, T, H)
+            gh = grad.transpose(0, 2, 1)  # (B, T, H)
             dpre = np.empty_like(gates)  # gradients of the gate pre-activations
             dh = np.zeros((b, hsize), dtype=dt)
             for i in reversed(range(t)):
@@ -452,7 +432,7 @@ class GRU:
             accumulate_grad(self.u["h"], du_h)
             if x.requires_grad:
                 dx = np.ascontiguousarray((d2 @ w_all).reshape(b, t, c).transpose(0, 2, 1))
-                accumulate_grad(x, dx[0] if unbatch else dx)
+                accumulate_grad(x, dx)
 
         return record_op(out, (x, *params), backward_rule)
 

@@ -196,9 +196,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
-
     def zero_grad(self) -> None:
         """Drop the gradient buffer; the next backward starts fresh."""
         self.grad = None
@@ -233,10 +230,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-
-def _scalar_err(t):
-    raise ShapeError(f"item() requires a single-element tensor, got shape {t.data.shape}")
 
 
 def astensor(x, like: Tensor | None = None) -> Tensor:

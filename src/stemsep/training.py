@@ -19,7 +19,7 @@ import numpy as np
 from . import dsp
 from .audio_io import SOURCES, AudioClip, Track
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .models import BUNDLE_MODES, ModelBundle, collect_state, residual_forward, restore_state
+from .models import ModelBundle, collect_state, residual_forward, restore_state
 from .optim import Adam, build_optimizer
 from .tensor import (
     Tensor,
@@ -68,8 +68,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 10
     seed: int = 0
-    mode: str = "separator"
-    residual_iterations: int = 3
     epoch_batches: int = 100
     gru_clip_norm: float = 5.0
 
@@ -78,8 +76,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.mode not in BUNDLE_MODES:
-            raise ConfigError(f"mode {self.mode!r} not in {BUNDLE_MODES}")
         if self.epoch_batches < 1 or self.max_epochs < 1:
             raise ConfigError("epoch_batches and max_epochs must be >= 1")
 
@@ -241,7 +237,8 @@ def training_step(bundle: ModelBundle, optimizer: Adam, feats, mags) -> StepRepo
     """One forward/backward/update cycle on an assembled batch.
 
     A non-finite loss raises DivergenceError before any gradient exists,
-    so parameters and optimizer moments are left as they were.
+    and a non-finite gradient raises it before the update, so parameters
+    and optimizer moments are left as they were either way.
     """
     loss, per_iteration = _forward_loss(bundle, feats, mags, training=True)
     value = float(loss.data)
@@ -249,6 +246,10 @@ def training_step(bundle: ModelBundle, optimizer: Adam, feats, mags) -> StepRepo
         current_tape().clear()
         raise DivergenceError(f"non-finite training loss {value}", loss_history=[value])
     backward(loss)
+    if not all(p.grad is None or np.isfinite(p.grad).all() for _, p in optimizer.parameters()):
+        optimizer.zero_grad()
+        raise DivergenceError(f"non-finite gradient at training loss {value}",
+                              loss_history=[value])
     optimizer.step()
     optimizer.zero_grad()
     return StepReport(value, per_iteration)
@@ -275,14 +276,13 @@ def train(bundle: ModelBundle, pool: SourcePool, val_windows, cfg: TrainConfig):
     """Train the bundle with online augmentation and early stopping.
 
     Returns a Checkpoint holding the best-validation parameters. Aborts
-    with DivergenceError (carrying the recent loss history) if the loss
-    goes non-finite.
+    with DivergenceError (carrying the recent loss history) if the loss or
+    a gradient goes non-finite; once a validation has run, the error also
+    carries a checkpoint of the best state so far as ``checkpoint``.
     """
     from .checkpoint import make_checkpoint  # deferred: checkpoint imports models
 
     cfg.validate()
-    if cfg.mode != bundle.mode:
-        raise ConfigError(f"train config mode {cfg.mode!r} does not match bundle mode {bundle.mode!r}")
     pool.validate()
     param_dtype = next(iter(bundle.named_parameters()))[1].data.dtype
 
@@ -301,6 +301,17 @@ def train(bundle: ModelBundle, pool: SourcePool, val_windows, cfg: TrainConfig):
         bad_validations = 0
         step = 0
 
+        def best_checkpoint():
+            restore_state(bundle, best_state)
+            meta = {
+                "seed": cfg.seed,
+                "step": step,
+                "best_val_loss": best_val,
+                "val_history": val_history,
+                "best_sequence": best_sequence,
+            }
+            return make_checkpoint(bundle, optimizer, meta)
+
         for epoch in range(cfg.max_epochs):
             epoch_losses = []
             for _ in range(cfg.epoch_batches):
@@ -310,8 +321,9 @@ def train(bundle: ModelBundle, pool: SourcePool, val_windows, cfg: TrainConfig):
                     report = training_step(bundle, optimizer, feats, mags)
                 except DivergenceError as exc:
                     raise DivergenceError(
-                        f"non-finite training loss at step {step}", step=step,
-                        loss_history=(loss_history + exc.loss_history)[-50:]) from exc
+                        f"{exc} at step {step}", step=step,
+                        loss_history=(loss_history + exc.loss_history)[-50:],
+                        checkpoint=best_checkpoint() if val_history else None) from exc
                 loss_history.append(report.loss)
                 epoch_losses.append(report.loss)
             vloss = validation_loss(bundle, val_pairs, cfg.batch_size)
@@ -329,12 +341,4 @@ def train(bundle: ModelBundle, pool: SourcePool, val_windows, cfg: TrainConfig):
                 log.info("early stopping after %d stale validations", bad_validations)
                 break
 
-        restore_state(bundle, best_state)
-        meta = {
-            "seed": cfg.seed,
-            "step": step,
-            "best_val_loss": best_val,
-            "val_history": val_history,
-            "best_sequence": best_sequence,
-        }
-        return make_checkpoint(bundle, optimizer, meta)
+        return best_checkpoint()

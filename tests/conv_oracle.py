@@ -6,17 +6,7 @@ so both run the same weights."""
 
 import numpy as np
 
-from stemsep.errors import ShapeError
-from stemsep.tensor import Tensor, accumulate_grad, astensor, record_op, reshape
-
-
-def _lift(x):
-    x = astensor(x)
-    if x.data.ndim == 2:
-        return reshape(x, (1,) + x.data.shape), True
-    if x.data.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected (C, T) or (B, C, T) input, got shape {x.data.shape}")
+from stemsep.tensor import Tensor, accumulate_grad, astensor, record_op
 
 
 def _windows(arr: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -31,7 +21,7 @@ def _windows(arr: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 def im2col_conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
                   padding: tuple[int, int] = (0, 0)) -> Tensor:
-    x, unbatch = _lift(x)
+    x = astensor(x)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     pl, pr = padding
@@ -55,12 +45,11 @@ def im2col_conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
                 dpad[:, :, k:k + t_out * stride:stride] += dcols[:, :, :, k].transpose(0, 2, 1)
             accumulate_grad(x, dpad[:, :, pl:t_pad - pr] if (pl or pr) else dpad)
 
-    out = record_op(out, (x, weight, bias), backward_rule)
-    return reshape(out, out.data.shape[1:]) if unbatch else out
+    return record_op(out, (x, weight, bias), backward_rule)
 
 
 def scatter_conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    x, unbatch = _lift(x)
+    x = astensor(x)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     b, _, t = xb.shape
@@ -86,5 +75,4 @@ def scatter_conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -
         accumulate_grad(weight, np.ascontiguousarray(dw))
         accumulate_grad(bias, g.sum(axis=(0, 2)))
 
-    out = record_op(out, (x, weight, bias), backward_rule)
-    return reshape(out, out.data.shape[1:]) if unbatch else out
+    return record_op(out, (x, weight, bias), backward_rule)

@@ -10,12 +10,9 @@ from stemsep.tensor import (add, astensor, matmul, mul, reshape, sigmoid, slice_
                             sub, tanh, transpose)
 
 
-def composed_gru(gru, x, h0=None):
-    """Forward ``x`` ((C, T) or (B, C, T)) through ``gru``'s parameters."""
+def composed_gru(gru, x):
+    """Forward ``x`` ((B, C, T)) through ``gru``'s parameters from a zero state."""
     x = astensor(x)
-    unbatch = x.data.ndim == 2
-    if unbatch:
-        x = reshape(x, (1,) + x.data.shape)
     b, c, t = x.data.shape
     if c != gru.input_size:
         raise ShapeError(f"gru: input has {c} channels, expected {gru.input_size}")
@@ -28,10 +25,7 @@ def composed_gru(gru, x, h0=None):
         proj[gate] = reshape(p, (b, t, hsize))
     u_t = {gate: transpose(gru.u[gate]) for gate in gru.GATES}
 
-    if h0 is None:
-        h = astensor(np.zeros((b, hsize), dtype=x.data.dtype))
-    else:
-        h = astensor(np.broadcast_to(np.asarray(h0, dtype=x.data.dtype), (b, hsize)).copy())
+    h = astensor(np.zeros((b, hsize), dtype=x.data.dtype))
 
     steps = []
     for i in range(t):
@@ -43,5 +37,4 @@ def composed_gru(gru, x, h0=None):
         h = add(mul(sub(1.0, z), h), mul(z, hcand))
         steps.append(h)
 
-    out = transpose(stack(steps, axis=1), (0, 2, 1))
-    return reshape(out, out.data.shape[1:]) if unbatch else out
+    return transpose(stack(steps, axis=1), (0, 2, 1))

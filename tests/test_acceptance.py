@@ -115,7 +115,7 @@ def test_criterion_1_gradient_suite():
 
         # GRU: all nine parameter matrices and the input
         gru = GRU(5, 4, rng=rng)
-        xg = T.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        xg = T.Tensor(rng.normal(size=(1, 5, 6)), requires_grad=True)
 
         def gru_loss(_):
             out = gru(xg)

@@ -12,7 +12,8 @@ from stemsep.audio_io import SOURCES, AudioClip, read_wav, write_wav
 from stemsep.checkpoint import load_checkpoint, make_checkpoint, save_checkpoint
 from stemsep.cli import main
 from stemsep.config import load_config_file, resolve
-from stemsep.errors import EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError
+from stemsep import training
+from stemsep.errors import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, ConfigError, DivergenceError
 from stemsep.evaluate import read_spectrogram_dump
 from stemsep.models import (
     ModelBundle,
@@ -67,6 +68,60 @@ def test_train_verb_end_to_end(tmp_path):
     assert ckpt.mode == "separator"
     assert ckpt.sources == SOURCES
     assert ckpt.meta["step"] >= 2
+
+
+TRAIN_ARGS = [
+    *TINY_MODEL_ARGS,
+    "--data.clip_seconds", "0.15",
+    "--data.val_ratio", "0.5",
+    "--train.batch_size", "2",
+    "--train.epoch_batches", "2",
+]
+
+
+def _diverge_from_step(monkeypatch, first_bad_step):
+    """Make ``training_step`` raise DivergenceError from the given step on."""
+    real_step = training.training_step
+    calls = []
+
+    def step(*args):
+        calls.append(1)
+        if len(calls) >= first_bad_step:
+            raise DivergenceError("non-finite training loss nan", loss_history=[float("nan")])
+        return real_step(*args)
+
+    monkeypatch.setattr(training, "training_step", step)
+
+
+@pytest.mark.parametrize("verb", ["train", "train-enhancer"])
+def test_train_divergence_saves_best_state(tmp_path, monkeypatch, verb):
+    make_dataset(tmp_path / "data", split="train", tracks=("one", "two"), seconds=0.35)
+    out = tmp_path / "trained.ssck"
+    argv = [verb, "--dataset", str(tmp_path / "data"), "--out", str(out), *TRAIN_ARGS,
+            "--train.max_epochs", "3", "--train.patience", "3"]
+    if verb == "train-enhancer":
+        argv += ["--separator", str(small_checkpoint(tmp_path))]
+    _diverge_from_step(monkeypatch, 3)  # the first step of epoch 2
+    assert main(argv) == EXIT_DIVERGED
+    ckpt = load_checkpoint(out)
+    assert ckpt.meta["val_history"] == [ckpt.meta["best_val_loss"]]
+    assert ckpt.meta["step"] == 3
+
+
+def test_train_divergence_before_first_validation_writes_nothing(tmp_path, monkeypatch):
+    make_dataset(tmp_path / "data", split="train", tracks=("one", "two"), seconds=0.35)
+    out = tmp_path / "trained.ssck"
+    _diverge_from_step(monkeypatch, 2)
+    code = main(["train", "--dataset", str(tmp_path / "data"), "--out", str(out), *TRAIN_ARGS,
+                 "--train.max_epochs", "2"])
+    assert code == EXIT_DIVERGED
+    assert not out.exists()
+
+
+def test_train_rejects_unknown_mode(tmp_path):
+    code = main(["train", "--dataset", str(tmp_path / "nowhere"),
+                 "--out", str(tmp_path / "x.ssck"), "--train.mode", "nonsense"])
+    assert code == EXIT_CONFIG
 
 
 def test_separate_verb_writes_stems(tmp_path):

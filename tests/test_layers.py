@@ -73,17 +73,17 @@ def gru_step_oracle(x, h, p):
 
 
 def test_conv1d_window_sums():
-    x = T.Tensor(np.ones((1, 5)))
+    x = T.Tensor(np.ones((1, 1, 5)))
     w = param(np.ones((1, 1, 3)))
     b = param(np.zeros(1))
     out = conv1d(x, w, b, stride=1)
-    assert np.array_equal(out.data, np.full((1, 3), 3.0))
+    assert np.array_equal(out.data, np.full((1, 1, 3), 3.0))
 
 
 def test_conv1d_identity_tap():
-    x = rng_for("tap").normal(size=(1, 7))
+    x = rng_for("tap").normal(size=(1, 1, 7))
     out = conv1d(T.Tensor(x), param([[[0.0, 1.0, 0.0]]]), param(np.zeros(1)), stride=1)
-    assert np.allclose(out.data, x[:, 1:-1], atol=1e-15)
+    assert np.allclose(out.data, x[..., 1:-1], atol=1e-15)
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -92,8 +92,8 @@ def test_conv1d_matches_nested_loop(stride):
     x = rng.normal(size=(3, 17))
     w = rng.normal(size=(4, 3, 5))
     b = rng.normal(size=4)
-    out = conv1d(T.Tensor(x), param(w), param(b), stride=stride)
-    assert np.allclose(out.data, conv1d_oracle(x, w, b, stride), atol=1e-12)
+    out = conv1d(T.Tensor(x[None]), param(w), param(b), stride=stride)
+    assert np.allclose(out.data[0], conv1d_oracle(x, w, b, stride), atol=1e-12)
 
 
 def test_conv1d_padding_matches_padded_oracle():
@@ -101,20 +101,20 @@ def test_conv1d_padding_matches_padded_oracle():
     x = rng.normal(size=(2, 9))
     w = rng.normal(size=(2, 2, 3))
     b = rng.normal(size=2)
-    out = conv1d(T.Tensor(x), param(w), param(b), stride=1, padding=(1, 1))
-    assert out.data.shape == (2, 9)
+    out = conv1d(T.Tensor(x[None]), param(w), param(b), stride=1, padding=(1, 1))
+    assert out.data.shape == (1, 2, 9)
     oracle = conv1d_oracle(np.pad(x, ((0, 0), (1, 1))), w, b, 1)
-    assert np.allclose(out.data, oracle, atol=1e-12)
+    assert np.allclose(out.data[0], oracle, atol=1e-12)
 
 
 def test_conv1d_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv1d(T.Tensor(np.ones((2, 8))), param(np.ones((1, 3, 3))), param(np.zeros(1)))
+        conv1d(T.Tensor(np.ones((1, 2, 8))), param(np.ones((1, 3, 3))), param(np.zeros(1)))
 
 
 def test_conv1d_input_shorter_than_kernel():
     with pytest.raises(ShapeError):
-        conv1d(T.Tensor(np.ones((1, 2))), param(np.ones((1, 1, 3))), param(np.zeros(1)))
+        conv1d(T.Tensor(np.ones((1, 1, 2))), param(np.ones((1, 1, 3))), param(np.zeros(1)))
 
 
 def test_conv1d_batched_matches_per_sample():
@@ -132,14 +132,14 @@ def test_conv1d_batched_matches_per_sample():
 
 
 def test_tconv1d_single_tap_spread():
-    out = conv_transpose1d(T.Tensor([[1.0]]), param([[[1.0, 2.0, 3.0]]]), param(np.zeros(1)))
-    assert np.array_equal(out.data, np.array([[1.0, 2.0, 3.0]]))
+    out = conv_transpose1d(T.Tensor([[[1.0]]]), param([[[1.0, 2.0, 3.0]]]), param(np.zeros(1)))
+    assert np.array_equal(out.data, np.array([[[1.0, 2.0, 3.0]]]))
 
 
 def test_tconv1d_non_overlapping_stride():
-    out = conv_transpose1d(T.Tensor([[1.0, 1.0]]), param(np.ones((1, 1, 2))), param(np.zeros(1)),
-                           stride=2)
-    assert np.array_equal(out.data, np.ones((1, 4)))
+    out = conv_transpose1d(T.Tensor([[[1.0, 1.0]]]), param(np.ones((1, 1, 2))),
+                           param(np.zeros(1)), stride=2)
+    assert np.array_equal(out.data, np.ones((1, 1, 4)))
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -148,8 +148,8 @@ def test_tconv1d_matches_nested_loop(stride):
     x = rng.normal(size=(2, 6))
     w = rng.normal(size=(3, 2, 4))
     b = rng.normal(size=3)
-    out = conv_transpose1d(T.Tensor(x), param(w), param(b), stride=stride)
-    assert np.allclose(out.data, tconv1d_oracle(x, w, b, stride), atol=1e-12)
+    out = conv_transpose1d(T.Tensor(x[None]), param(w), param(b), stride=stride)
+    assert np.allclose(out.data[0], tconv1d_oracle(x, w, b, stride), atol=1e-12)
 
 
 @pytest.mark.parametrize("c_in,c_out,t,k,stride", [
@@ -162,11 +162,12 @@ def test_conv_tconv_adjoint_identity(c_in, c_out, t, k, stride):
     w = rng.normal(size=(c_out, c_in, k))
     zero_out = np.zeros(c_out)
     zero_in = np.zeros(c_in)
-    conv_xy = conv1d(T.Tensor(x), param(w), param(zero_out), stride=stride).data
+    conv_xy = conv1d(T.Tensor(x[None]), param(w), param(zero_out), stride=stride).data[0]
     y = rng.normal(size=conv_xy.shape)
     # tconv consumes (C_out, T') and produces (C_in, T): swap weight axes.
     w_swapped = w.transpose(1, 0, 2)
-    back = conv_transpose1d(T.Tensor(y), param(w_swapped), param(zero_in), stride=stride).data
+    back = conv_transpose1d(T.Tensor(y[None]), param(w_swapped), param(zero_in),
+                            stride=stride).data[0]
     # The adjoint only reaches samples the conv windows touched; zero-extend.
     padded_back = np.zeros_like(x)
     padded_back[:, :back.shape[1]] = back
@@ -224,33 +225,31 @@ def _conv_outputs_and_grads(op, x, w, b, probe, **kwargs):
 
 
 def _per_item(oracle, x, *args):
-    return oracle(x, *args) if x.ndim == 2 else np.stack([oracle(xi, *args) for xi in x])
+    return np.stack([oracle(xi, *args) for xi in x])
 
 
 @settings(max_examples=80, deadline=None)
 @given(b=st.integers(1, 3), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
        k=st.integers(1, 5), stride=st.integers(1, 3), pl=st.integers(0, 2), pr=st.integers(0, 2),
-       extra=st.integers(0, 6), unbatched=st.booleans(), time_major=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_conv1d_gather_matches_oracles(b, c_in, c_out, k, stride, pl, pr, extra, unbatched,
-                                       time_major, seed):
+       extra=st.integers(0, 6), time_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv1d_gather_matches_oracles(b, c_in, c_out, k, stride, pl, pr, extra, time_major,
+                                       seed):
     rng = np.random.default_rng(seed)
     t = max(k - pl - pr, 1) + extra
-    shape = (c_in, t) if unbatched and b == 1 else (b, c_in, t)
-    x = rng.normal(size=shape)
+    x = rng.normal(size=(b, c_in, t))
     if time_major:
         x = _time_major(x)
     w = rng.normal(size=(c_out, c_in, k))
     bias = rng.normal(size=c_out)
     t_out = (t + pl + pr - k) // stride + 1
-    probe = rng.normal(size=shape[:-2] + (c_out, t_out))
+    probe = rng.normal(size=(b, c_out, t_out))
 
     out, grads = _conv_outputs_and_grads(conv1d, x, w, bias, probe, stride=stride,
                                          padding=(pl, pr))
     ref_out, ref_grads = _conv_outputs_and_grads(im2col_conv1d, x, w, bias, probe,
                                                  stride=stride, padding=(pl, pr))
-    pad = ((0, 0),) * (x.ndim - 1) + ((pl, pr),)
-    loops = _per_item(lambda xi: conv1d_oracle(np.pad(xi, pad[-2:]), w, bias, stride), x)
+    loops = _per_item(lambda xi: conv1d_oracle(np.pad(xi, ((0, 0), (pl, pr))), w, bias, stride),
+                      x)
     assert out.shape == ref_out.shape == loops.shape
     assert np.max(np.abs(out - loops)) <= 1e-12
     for got, want in zip(grads, ref_grads, strict=True):
@@ -261,17 +260,16 @@ def test_conv1d_gather_matches_oracles(b, c_in, c_out, k, stride, pl, pr, extra,
 @settings(max_examples=80, deadline=None)
 @given(b=st.integers(1, 3), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
        k=st.integers(1, 5), stride=st.integers(1, 3), t=st.integers(1, 7),
-       unbatched=st.booleans(), time_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_conv_transpose1d_scatter_matches_oracles(b, c_in, c_out, k, stride, t, unbatched,
-                                                  time_major, seed):
+       time_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv_transpose1d_scatter_matches_oracles(b, c_in, c_out, k, stride, t, time_major,
+                                                  seed):
     rng = np.random.default_rng(seed)
-    shape = (c_in, t) if unbatched and b == 1 else (b, c_in, t)
-    x = rng.normal(size=shape)
+    x = rng.normal(size=(b, c_in, t))
     if time_major:
         x = _time_major(x)
     w = rng.normal(size=(c_out, c_in, k))
     bias = rng.normal(size=c_out)
-    probe = rng.normal(size=shape[:-2] + (c_out, (t - 1) * stride + k))
+    probe = rng.normal(size=(b, c_out, (t - 1) * stride + k))
 
     out, grads = _conv_outputs_and_grads(conv_transpose1d, x, w, bias, probe, stride=stride)
     ref_out, ref_grads = _conv_outputs_and_grads(scatter_conv_transpose1d, x, w, bias, probe,
@@ -353,7 +351,7 @@ def test_weight_norm_gradients():
 def test_conv_layer_weight_norm_forward_invariant_to_direction_scale():
     rng = rng_for("wn-layer")
     layer = Conv1d(2, 3, 3, stride=1, norm="weight_norm", rng=rng)
-    x = rng.normal(size=(2, 9))
+    x = rng.normal(size=(1, 2, 9))
     out1 = layer(T.Tensor(x)).data
     layer.weight.data *= 3.7
     out2 = layer(T.Tensor(x)).data
@@ -366,9 +364,9 @@ def test_conv_layer_weight_norm_forward_invariant_to_direction_scale():
 
 def test_gru_zero_fixed_point():
     gru = GRU(3, 4, rng=rng_for("gru-zero"))
-    out = gru(T.Tensor(np.zeros((3, 6))))
-    assert out.data.shape == (4, 6)
-    assert np.array_equal(out.data, np.zeros((4, 6)))
+    out = gru(T.Tensor(np.zeros((1, 3, 6))))
+    assert out.data.shape == (1, 4, 6)
+    assert np.array_equal(out.data, np.zeros((1, 4, 6)))
 
 
 def test_gru_single_step_matches_hand_computation():
@@ -380,34 +378,33 @@ def test_gru_single_step_matches_hand_computation():
         gru.w[gate].data[:] = p[f"w{gate}"]
         gru.u[gate].data[:] = p[f"u{gate}"]
         gru.b[gate].data[:] = p[f"b{gate}"]
-    h0 = np.array([0.3])
-    x = 1.7
-    out = gru(T.Tensor([[x]]), h0=h0)
-    expected = gru_step_oracle(x, 0.3, p)
-    assert out.data[0, 0] == pytest.approx(expected, rel=1e-15)
+    # The state starts at zero, so frame 2 is the first step from a non-zero state.
+    x = (1.7, -0.9)
+    out = gru(T.Tensor([[x]])).data[0, 0]
+    assert out[0] == pytest.approx(gru_step_oracle(x[0], 0.0, p), rel=1e-15)
+    assert out[1] == pytest.approx(gru_step_oracle(x[1], out[0], p), rel=1e-15)
 
 
 def test_gru_length_one_equals_single_step():
     rng = rng_for("gru-base")
     gru = GRU(2, 3, rng=rng)
-    x = rng.normal(size=(2, 5))
+    x = rng.normal(size=(1, 2, 5))
     full = gru(T.Tensor(x)).data
-    h = np.zeros(3)
     for i in range(5):
-        h = gru(T.Tensor(x[:, i:i + 1]), h0=h).data[:, 0]
-        assert np.allclose(h, full[:, i], atol=1e-12)
+        prefix = gru(T.Tensor(x[..., :i + 1])).data
+        assert np.allclose(prefix, full[..., :i + 1], atol=1e-12)
 
 
 def test_gru_input_size_mismatch():
     gru = GRU(3, 2, rng=rng_for("gru-mismatch"))
     with pytest.raises(ShapeError):
-        gru(T.Tensor(np.zeros((4, 5))))
+        gru(T.Tensor(np.zeros((1, 4, 5))))
 
 
 def test_gru_parameter_gradients_finite_difference():
     rng = rng_for("gru-grad")
     gru = GRU(3, 4, rng=rng)
-    x = rng.normal(size=(3, 6))
+    x = rng.normal(size=(1, 3, 6))
 
     def loss(_):
         out = gru(T.Tensor(x))
@@ -421,7 +418,7 @@ def test_gru_parameter_gradients_finite_difference():
 def test_gru_input_gradient_finite_difference():
     rng = rng_for("gru-xgrad")
     gru = GRU(2, 3, rng=rng)
-    x = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    x = T.Tensor(rng.normal(size=(1, 2, 5)), requires_grad=True)
 
     def loss(t):
         out = gru(t)
@@ -430,33 +427,31 @@ def test_gru_input_gradient_finite_difference():
     assert T.gradient_check(loss, x, eps=1e-5) < 1e-4
 
 
-def _gru_outputs_and_grads(run, gru, x, h0, weight):
+def _gru_outputs_and_grads(run, gru, x, weight):
     """Forward through ``run`` and backpropagate sum(weight * out); returns
     the output and the gradients of the input and all nine parameters."""
     params = [p for _, p in gru.named_parameters("")]
     for p in params:
         p.zero_grad()
     xt = T.Tensor(x, requires_grad=True)
-    out = run(gru, xt, h0)
+    out = run(gru, xt)
     T.backward(T.reduce_sum(T.mul(out, T.Tensor(weight))))
     return out.data, [xt.grad] + [p.grad for p in params]
 
 
 @settings(max_examples=60, deadline=None)
 @given(b=st.integers(1, 3), t=st.integers(1, 7), c=st.integers(1, 4), hsize=st.integers(1, 4),
-       use_h0=st.booleans(), unbatched=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_gru_fused_matches_composed_oracle(b, t, c, hsize, use_h0, unbatched, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_gru_fused_matches_composed_oracle(b, t, c, hsize, seed):
     rng = np.random.default_rng(seed)
     gru = GRU(c, hsize, rng=rng)
     for _, p in gru.named_parameters(""):
         p.data[...] = rng.normal(scale=0.8, size=p.data.shape)
-    shape = (c, t) if unbatched and b == 1 else (b, c, t)
-    x = rng.normal(size=shape)
-    h0 = rng.uniform(-1, 1, size=hsize) if use_h0 else None
-    weight = rng.normal(size=shape[:-2] + (hsize, t))
+    x = rng.normal(size=(b, c, t))
+    weight = rng.normal(size=(b, hsize, t))
 
-    fused_out, fused_grads = _gru_outputs_and_grads(lambda g, xt, h: g(xt, h0=h), gru, x, h0, weight)
-    ref_out, ref_grads = _gru_outputs_and_grads(composed_gru, gru, x, h0, weight)
+    fused_out, fused_grads = _gru_outputs_and_grads(GRU.__call__, gru, x, weight)
+    ref_out, ref_grads = _gru_outputs_and_grads(composed_gru, gru, x, weight)
     assert fused_out.shape == ref_out.shape
     assert np.max(np.abs(fused_out - ref_out)) <= 1e-12
     for got, want in zip(fused_grads, ref_grads):
@@ -469,7 +464,7 @@ def test_gru_call_is_one_tape_op():
     gru = GRU(3, 4, rng=rng)
     tape = T.current_tape()
     tape.clear()
-    for shape in ((3, 9), (2, 3, 9)):
+    for shape in ((1, 3, 9), (2, 3, 9)):
         before = len(tape)
         gru(T.Tensor(rng.normal(size=shape), requires_grad=True))
         assert len(tape) - before == 1
@@ -489,12 +484,25 @@ def test_gru_saturated_gates_stay_finite():
     assert np.allclose(out, composed_gru(gru, T.Tensor(x)).data, rtol=0, atol=1e-12)
 
 
-def test_gru_rejects_bad_rank_and_h0():
+def test_gru_rejects_bad_rank():
     gru = GRU(3, 2, rng=rng_for("gru-shapes"))
     with pytest.raises(ShapeError):
         gru(T.Tensor(np.zeros((1, 1, 3, 5))))
+
+
+@pytest.mark.parametrize("layer", [
+    lambda x: conv1d(x, param(np.ones((2, 3, 2))), param(np.zeros(2))),
+    lambda x: conv_transpose1d(x, param(np.ones((2, 3, 2))), param(np.zeros(2))),
+    lambda x: Conv1d(3, 2, 2, norm="weight_norm", rng=rng_for("rank-wn"))(x),
+    lambda x: Conv1d(3, 2, 2, norm="batch_norm", rng=rng_for("rank-bn"))(x, training=True),
+    lambda x: GRU(3, 2, rng=rng_for("rank-gru"))(x),
+    lambda x: BatchNorm1d(3)(x, training=True),
+], ids=["conv1d", "conv_transpose1d", "Conv1d-weight_norm", "Conv1d-batch_norm", "GRU",
+        "BatchNorm1d"])
+def test_layers_reject_unbatched_input(layer):
+    # The model lifts a single (C, T) input to (1, C, T); no layer does.
     with pytest.raises(ShapeError):
-        gru(T.Tensor(np.zeros((3, 5))), h0=np.zeros(3))
+        layer(T.Tensor(np.ones((3, 8))))
 
 
 # ---------------------------------------------------------------------------
