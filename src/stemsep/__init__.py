@@ -49,7 +49,6 @@ from .tensor import (
 from .training import (
     SourcePool,
     TrainConfig,
-    augment_sample,
     mse_loss,
     segment_songs,
     train,

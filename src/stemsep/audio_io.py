@@ -3,8 +3,8 @@
 A dataset is a directory of splits (``train/``, ``test/``), each split a
 directory of tracks, each track a directory holding ``mixture.wav`` plus
 one WAV per source stem. WAV support covers 16-bit PCM and 32-bit float
-at any rate (44.1 kHz is the canonical one); float32 round-trips
-bit-exactly.
+at any rate, but training and separation accept only ``SAMPLE_RATE``;
+float32 round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -70,14 +70,15 @@ class AudioClip:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a PCM16 or float32 WAV file into an AudioClip."""
+    """Read a PCM16 or float32 WAV file at any rate into an AudioClip;
+    a file that does not parse raises DataError."""
     path = Path(path)
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
         raise DataError(f"missing audio file: {path}")
-    except ValueError as exc:
-        raise DataError(f"unreadable WAV file {path}: {exc}")
+    except Exception as exc:  # malformed bytes also raise struct.error, UnboundLocalError, ...
+        raise DataError(f"unreadable WAV file {path}: {type(exc).__name__}: {exc}")
     if data.ndim == 1:
         data = data[:, None]
     samples = data.T  # (channels, samples)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .audio_io import AudioClip, Track, load_track, read_wav, track_dirs
+from .audio_io import SAMPLE_RATE, AudioClip, Track, load_track, read_wav, track_dirs
 from .errors import ConfigError, DataError
 from .models import ModelBundle
 from .tensor import no_grad
@@ -39,12 +39,15 @@ def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "no
 
     Returns {source_name: AudioClip} with every clip exactly the input
     length; source names come from the checkpoint (training pool order).
+    A song at a rate other than ``SAMPLE_RATE`` raises DataError.
     """
     if accompaniment not in ACCOMPANIMENT_MODES:
         raise ConfigError(f"accompaniment mode {accompaniment!r} not in {ACCOMPANIMENT_MODES}")
     sources = list(bundle.sources)
     if len(sources) != bundle.separator.cfg.source_count:
         raise ConfigError("checkpoint source names do not match the model's source count")
+    if song.sample_rate != SAMPLE_RATE:
+        raise DataError(f"song is at {song.sample_rate} Hz; the model needs {SAMPLE_RATE} Hz")
     if song.num_samples < dsp.WINDOW_SIZE:
         raise DataError(f"song is shorter than one {dsp.WINDOW_SIZE}-sample analysis window")
 

@@ -342,7 +342,7 @@ def test_criterion_7_enhancement_contract(trained_tiny_separator):
     val_windows = [{name: val_clips[name][i] for name in SYNTH_SOURCES} for i in range(4)]
 
     with T.using_dtype(np.float32):
-        val_pairs = validation_arrays(val_windows, SYNTH_SOURCES, 44100)
+        val_pairs = validation_arrays(val_windows, SYNTH_SOURCES)
         separator_val = validation_loss(separator_bundle, val_pairs, batch_size=4)
 
         fingerprint_before = parameter_fingerprint(separator)

@@ -1,7 +1,12 @@
-"""WAV round-trips and the dataset directory layout."""
+"""WAV round-trips, malformed WAV bytes and the dataset directory layout."""
+
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from conftest import rng_for
 from stemsep.audio_io import (
@@ -63,6 +68,51 @@ def test_nonfinite_samples_rejected():
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         read_wav(tmp_path / "nope.wav")
+
+
+# The 16-byte start of a WAV file: RIFF header and the fmt chunk's ID.
+TRUNCATED_WAV = b"RIFF\x24\x00\x00\x00WAVEfmt "
+
+
+def test_truncated_wav_is_data_error(tmp_path):
+    path = tmp_path / "short.wav"
+    path.write_bytes(TRUNCATED_WAV)
+    with pytest.raises(DataError):
+        read_wav(path)
+
+
+@pytest.fixture(scope="module")
+def wav_blobs():
+    """A float32 stereo and a PCM16 mono WAV file, as bytes."""
+    blobs = []
+    rng = rng_for("wav-blobs")
+    for data in (rng.normal(size=(300, 2)).astype(np.float32),
+                 (1000 * rng.normal(size=300)).astype(np.int16)):
+        buffer = io.BytesIO()
+        wavfile.write(buffer, 44100, data)
+        blobs.append(buffer.getvalue())
+    return blobs
+
+
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_truncated_or_mutated_wav_loads_or_raises_data_error(wav_blobs, tmp_path_factory, data):
+    blob = bytearray(data.draw(st.sampled_from(wav_blobs), label="file"))
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        # Mostly hit the RIFF and fmt headers, where a byte changes meaning.
+        stop = data.draw(st.sampled_from([64, len(blob)]), label="region")
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            blob[data.draw(st.integers(0, stop - 1), label="at")] = data.draw(
+                st.integers(0, 255), label="byte")
+    path = tmp_path_factory.getbasetemp() / "mutant.wav"
+    path.write_bytes(bytes(blob))
+    try:
+        read_wav(path)
+    except DataError:
+        pass
 
 
 def make_dataset(tmp_path, split="test", tracks=("alpha", "beta"), seconds=0.2,

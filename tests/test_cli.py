@@ -23,7 +23,7 @@ from stemsep.models import (
     separator_config,
 )
 
-from test_audio_io import make_dataset
+from test_audio_io import TRUNCATED_WAV, make_dataset
 
 TINY_MODEL_ARGS = [
     "--model.channels", "8,6,4",
@@ -157,6 +157,20 @@ def test_separate_mode_mismatch_exit_code(tmp_path):
     code = main(["separate", "--checkpoint", str(ckpt_path), "--input", str(song_path),
                  "--out-dir", str(tmp_path / "o"), "--mode", "residual"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("song", ["truncated", "8 kHz"])
+def test_separate_rejects_unusable_audio(tmp_path, song):
+    ckpt_path = small_checkpoint(tmp_path)
+    song_path = tmp_path / "song.wav"
+    if song == "truncated":
+        song_path.write_bytes(TRUNCATED_WAV)
+    else:
+        write_wav(song_path, AudioClip(np.zeros((2, 8000)), 8000), fmt="float32")
+    code = main(["separate", "--checkpoint", str(ckpt_path), "--input", str(song_path),
+                 "--out-dir", str(tmp_path / "stems")])
+    assert code == EXIT_DATA
+    assert not (tmp_path / "stems").exists()
 
 
 def test_evaluate_verb_oracle_and_determinism(tmp_path):

@@ -27,7 +27,7 @@ from stemsep.models import (
     separator_config,
 )
 
-from test_audio_io import make_dataset
+from test_audio_io import TRUNCATED_WAV, make_dataset
 
 
 def full_bins_bundle(mode="separator", sources=SOURCES, seed=0):
@@ -184,6 +184,15 @@ def test_missing_stem_track_skipped(tmp_path):
     report = evaluate(tmp_path, split="test", estimates_dir=tmp_path / "test")
     assert report.skipped == ["beta"]
     assert {row.track for row in report.rows} == {"alpha"}
+
+
+def test_truncated_wav_track_skipped(tmp_path):
+    make_dataset(tmp_path, seconds=0.3)
+    (tmp_path / "test" / "beta" / "mixture.wav").write_bytes(TRUNCATED_WAV)
+    report = evaluate(tmp_path, split="test", estimates_dir=tmp_path / "test")
+    assert report.skipped == ["beta"]
+    assert {row.track for row in report.rows} == {"alpha"}
+    assert "skipped tracks: beta" in report.to_table()
 
 
 def test_model_evaluation_produces_rows(tmp_path):

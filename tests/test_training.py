@@ -1,6 +1,7 @@
-"""Augmentation, segmentation, the MSE loss against a quadruple-loop
-oracle, and training-loop behavior (reproducibility, descent, early
-stopping bookkeeping, residual loss averaging, enhancer freezing)."""
+"""Augmentation against the waveform remix formula, segmentation, the MSE
+loss against a quadruple-loop oracle, and training-loop behavior
+(reproducibility, descent, early stopping bookkeeping, residual loss
+averaging, enhancer freezing)."""
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from stemsep.optim import build_optimizer
 from stemsep.training import (
     SourcePool,
     TrainConfig,
-    augment_sample,
-    features_and_targets,
+    clip_spectrum,
     make_batch,
     mse_loss,
-    sample_sources,
     segment_songs,
     split_counts,
     train,
@@ -29,15 +28,14 @@ from stemsep.training import (
     validation_loss,
 )
 
-SR = 8820  # small sample rate keeps STFT sizes manageable in unit tests
-
 
 def tiny_pool(n_clips=3, seconds=0.6, seed=0, sources=("a", "b")):
+    """A pool and the waveform clips it was built from."""
     rng = np.random.default_rng(seed)
     n = int(seconds * 44100)
     clips = {name: [AudioClip(0.1 * rng.normal(size=n)) for _ in range(n_clips)]
              for name in sources}
-    return SourcePool(tuple(sources), clips, 44100, n)
+    return SourcePool(tuple(sources), clips, 44100, n), clips
 
 
 # ---------------------------------------------------------------------------
@@ -94,55 +92,100 @@ def test_mse_gradient():
 # Augmentation
 
 
+def remix_oracle(clips, sources, rng, batch_size):
+    """The waveform remix formula: per instance and per source one
+    ``rng.integers`` pick, then the STFT of the summed waveforms for the
+    features and of each chosen clip for the targets."""
+    feats, mags = [], []
+    for _ in range(batch_size):
+        chosen = [clips[name][int(rng.integers(len(clips[name])))].channel(0)
+                  for name in sources]
+        feats.append(dsp.log1p_magnitude(dsp.stft(sum(chosen))))
+        mags.append(np.stack([np.abs(dsp.stft(wave).data) for wave in chosen]))
+    return np.stack(feats), np.stack(mags)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_make_batch_matches_waveform_formula(dtype):
+    pool, clips = tiny_pool(n_clips=4, seed=19)
+    rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+    with T.using_dtype(dtype):
+        feats, mags = make_batch(pool, rng, 6)
+    want_feats, want_mags = remix_oracle(clips, pool.sources, replay, 6)
+    assert feats.dtype == mags.dtype == dtype
+    assert np.max(np.abs(feats - want_feats)) <= 1e-6 * np.max(want_feats)
+    assert np.max(np.abs(mags - want_mags)) <= 1e-6 * np.max(want_mags)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_validation_arrays_match_waveform_formula():
+    _, clips = tiny_pool(n_clips=2, seed=23)
+    windows = [{name: clips[name][k] for name in clips} for k in range(2)]
+    for (feats, mags), window in zip(validation_arrays(windows, ("a", "b")), windows):
+        waves = [window[name].channel(0) for name in ("a", "b")]
+        want_feats = dsp.log1p_magnitude(dsp.stft(sum(waves)))
+        want_mags = np.stack([np.abs(dsp.stft(wave).data) for wave in waves])
+        assert np.max(np.abs(feats - want_feats)) <= 1e-6 * np.max(want_feats)
+        assert np.max(np.abs(mags - want_mags)) <= 1e-6 * np.max(want_mags)
+
+
 def test_single_clip_pools_are_deterministic():
-    pool = tiny_pool(n_clips=1)
-    f1, m1 = augment_sample(pool, np.random.default_rng(0))
-    f2, m2 = augment_sample(pool, np.random.default_rng(12345))
+    pool, _ = tiny_pool(n_clips=1)
+    f1, m1 = make_batch(pool, np.random.default_rng(0), 2)
+    f2, m2 = make_batch(pool, np.random.default_rng(12345), 2)
     assert np.array_equal(f1, f2)
     assert np.array_equal(m1, m2)
 
 
 def test_mixture_is_bitwise_sum_of_chosen_sources():
-    pool = tiny_pool(n_clips=4, seed=7)
-    rng = np.random.default_rng(3)
-    chosen = sample_sources(pool, rng)
-    total = chosen["a"].channel(0) + chosen["b"].channel(0)
-    feats, _ = features_and_targets(chosen, pool.sources, pool.sample_rate)
-    expected = dsp.log1p_magnitude(dsp.stft(total, sample_rate=pool.sample_rate))
-    assert np.array_equal(feats, expected)
+    pool, _ = tiny_pool(n_clips=4, seed=7)
+    feats, mags = make_batch(pool, np.random.default_rng(3), 3)
+    replay = np.random.default_rng(3)
+    for b in range(3):
+        chosen = [pool.spectra[name][int(replay.integers(4))] for name in pool.sources]
+        assert np.array_equal(feats[b], np.log1p(np.abs(chosen[0] + chosen[1])))
+        assert np.array_equal(mags[b], np.abs(np.stack(chosen)))
 
 
 def test_fixed_seed_reproduces_samples():
-    pool = tiny_pool(n_clips=5, seed=11)
-    a = [augment_sample(pool, np.random.default_rng(42)) for _ in range(3)]
-    b = [augment_sample(pool, np.random.default_rng(42)) for _ in range(3)]
-    for (fa, ma), (fb, mb) in zip(a, b):
-        assert np.array_equal(fa, fb) and np.array_equal(ma, mb)
+    pool, _ = tiny_pool(n_clips=5, seed=11)
+    a = make_batch(pool, np.random.default_rng(42), 3)
+    b = make_batch(pool, np.random.default_rng(42), 3)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_sources_drawn_independently():
-    pool = tiny_pool(n_clips=6, seed=13)
-    rng = np.random.default_rng(0)
-    draws = [sample_sources(pool, rng) for _ in range(40)]
+    pool, _ = tiny_pool(n_clips=6, seed=13)
+    _, mags = make_batch(pool, np.random.default_rng(0), 40)
 
-    def index_of(name, clip):
-        return next(i for i, c in enumerate(pool.clips[name]) if c is clip)
+    def index_of(name, mag):
+        return next(i for i, spec in enumerate(pool.spectra[name])
+                    if np.array_equal(np.abs(spec), mag))
 
-    indices = {name: [index_of(name, d[name]) for d in draws] for name in pool.sources}
+    indices = {name: [index_of(name, m[s]) for m in mags]
+               for s, name in enumerate(pool.sources)}
     assert indices["a"] != indices["b"]
 
 
 def test_empty_pool_rejected():
-    pool = tiny_pool()
-    pool.clips["a"] = []
+    clips = {"a": [], "b": [AudioClip(np.zeros(4 * dsp.WINDOW_SIZE))]}
     with pytest.raises(DataError):
-        sample_sources(pool, np.random.default_rng(0))
+        SourcePool(("a", "b"), clips, 44100, 4 * dsp.WINDOW_SIZE)
+
+
+@pytest.mark.parametrize("length, rate", [(4 * dsp.WINDOW_SIZE - 1, 44100),
+                                          (4 * dsp.WINDOW_SIZE, 8000)])
+def test_pool_rejects_inconsistent_clip(length, rate):
+    n = 4 * dsp.WINDOW_SIZE
+    clips = {"a": [AudioClip(np.zeros(n)), AudioClip(np.zeros(length), rate)]}
+    with pytest.raises(DataError):
+        SourcePool(("a",), clips, 44100, n)
 
 
 def test_target_shape_and_nonnegativity():
-    pool = tiny_pool()
-    feats, mags = augment_sample(pool, np.random.default_rng(1))
-    assert mags.shape == (2,) + feats.shape
+    pool, _ = tiny_pool()
+    feats, mags = make_batch(pool, np.random.default_rng(1), 2)
+    assert mags.shape == (2, 2) + feats.shape[1:]
     assert np.all(mags >= 0)
 
 
@@ -170,8 +213,8 @@ def test_subclips_stay_index_aligned():
     n = pool.clip_samples
     for k in range(2):
         for name in SYNTH_SOURCES:
-            expected = track.stems[name].channel(0)[k * n:(k + 1) * n]
-            assert np.array_equal(pool.clips[name][k].channel(0), expected)
+            expected = AudioClip(track.stems[name].channel(0)[k * n:(k + 1) * n])
+            assert np.array_equal(pool.spectra[name][k], clip_spectrum(expected))
 
 
 def test_ninety_ten_split():
@@ -180,10 +223,10 @@ def test_ninety_ten_split():
 
 def test_segment_songs_split_matches_split_counts():
     for n_songs in range(1, 21):
-        # one 10 ms clip per mono song, so clips count songs
-        tracks = [make_track(f"t{i}", 0.01, seed=i) for i in range(n_songs)]
-        pool, val = segment_songs(tracks, clip_seconds=0.01, sources=SYNTH_SOURCES)
-        assert (len(pool.clips["noise"]), len(val)) == split_counts(n_songs), n_songs
+        # one 50 ms clip (one STFT window) per mono song, so clips count songs
+        tracks = [make_track(f"t{i}", 0.05, seed=i) for i in range(n_songs)]
+        pool, val = segment_songs(tracks, clip_seconds=0.05, sources=SYNTH_SOURCES)
+        assert (pool.counts()["noise"], len(val)) == split_counts(n_songs), n_songs
 
 
 def test_short_song_skipped_with_warning(caplog):
@@ -198,6 +241,14 @@ def test_stereo_channels_contribute_aligned_material():
     tracks = [make_track("st", 6.0, channels=2, seed=9)]
     pool, _ = segment_songs(tracks, clip_seconds=5.0, val_ratio=0.0, sources=SYNTH_SOURCES)
     assert pool.counts()["noise"] == 2  # one window per channel
+
+
+@pytest.mark.parametrize("rates", [(8000, 8000), (44100, 8000)])
+def test_segment_songs_rejects_other_sample_rates(rates):
+    # 30 s: long enough for a 5 s clip at the first track's rate
+    tracks = [make_track(f"t{i}", 30.0, seed=i, sr=sr) for i, sr in enumerate(rates)]
+    with pytest.raises(DataError):
+        segment_songs(tracks, clip_seconds=5.0, val_ratio=0.0, sources=SYNTH_SOURCES)
 
 
 def test_split_is_deterministic_given_seed():
@@ -332,7 +383,7 @@ def test_validation_runs_in_eval_mode_and_mutates_nothing():
         opt = build_optimizer(conv, gru, 1e-3, 1e-4)
         feats, mags = make_batch(pool, np.random.default_rng(0), 2)
         training_step(bundle, opt, feats, mags)  # records running stats
-        pairs = validation_arrays(val, pool.sources, pool.sample_rate)
+        pairs = validation_arrays(val, pool.sources)
         state_before = collect_state(bundle)
         fp_before = parameter_fingerprint(bundle)
         v1 = validation_loss(bundle, pairs, batch_size=2)
