@@ -10,6 +10,14 @@ and the inverse transform reconstructs interior samples to better than
 first. Masking is a single-pass power-ratio soft mask applied to the
 complex mixture with the mixture's phase; the SDR here is a plain
 energy ratio over the whole track, not the full BSS-Eval decomposition.
+
+Synthesis streams: ``overlap_add`` inverts consecutive blocks of
+``SYNTHESIS_BLOCK_FRAMES`` frames into a caller's output buffer, carrying
+one hop of samples between blocks, and ``wiener_synthesis`` masks each
+block just before it is inverted, so whole-song separation never holds a
+whole-song mask or masked spectrogram. Masks and ``irfft`` act frame by
+frame and every hop slot sums exactly two terms, so the blocked result is
+bit-identical to a whole-spectrogram pass.
 """
 
 from __future__ import annotations
@@ -25,7 +33,16 @@ WINDOW_SIZE = 2048
 HOP_SIZE = 1024
 FREQ_BINS = WINDOW_SIZE // 2 + 1
 WIENER_POWER_FLOOR = 1e-10
+# Mask-input magnitude floor: keeps every mixture bin fully distributed
+# across stems (conservation) even where the network predicts silence.
+# At -80 dBFS it is far below audibility.
+MASK_MAG_FLOOR = 1e-4
 SDR_CAP_DB = 100.0
+# Frames per synthesis block: the working set of ``overlap_add`` and
+# ``wiener_synthesis``. For 4 sources over a 120 s channel on a 2-vCPU
+# box, blocks of 32, 64 and 128 frames take 0.64, 0.67 and 0.72 s, 256
+# frames 0.88 s, and one whole-song block 1.42 s.
+SYNTHESIS_BLOCK_FRAMES = 64
 
 
 def hann_window() -> np.ndarray:
@@ -71,29 +88,69 @@ def stft(samples: np.ndarray, sample_rate: int = 0) -> ComplexSpectrogram:
     return ComplexSpectrogram(spec, sample_rate, n)
 
 
-def istft(spec: ComplexSpectrogram) -> AudioClip:
-    """Weighted overlap-add inverse with the analysis window as synthesis
-    window, normalized by the accumulated squared-window envelope.
+def frame_blocks(frames: int) -> list[slice]:
+    """Consecutive slices of at most ``SYNTHESIS_BLOCK_FRAMES`` frames
+    covering frames 0 .. frames - 1."""
+    return [slice(start, min(start + SYNTHESIS_BLOCK_FRAMES, frames))
+            for start in range(0, frames, SYNTHESIS_BLOCK_FRAMES)]
 
-    At half-overlap, hop slot k receives the first half of frame k and the
-    second half of frame k - 1, so the envelope of every interior slot is
-    the same hop-long sum, and the last slot holds only a second half.
-    Slot 0 is the reflection padding and is never returned.
+
+def overlap_add(blocks, out: np.ndarray) -> np.ndarray:
+    """Weighted overlap-add inverse of consecutive frame blocks into ``out``,
+    with the analysis window as synthesis window, normalized by the
+    accumulated squared-window envelope.
+
+    Each block is the frame-major complex spectrum (..., t, FREQ_BINS) of
+    the next t frames, and ``out`` is (..., length). A block takes one
+    batched ``irfft``; only the second half of its last frame is carried
+    into the next block. At half-overlap, hop slot k receives the first
+    half of frame k and the second half of frame k - 1, so the envelope of
+    every interior slot is the same hop-long sum, and the last slot holds
+    only a second half. Slot 0 is the reflection padding and is never
+    written; samples past the last slot are zero. Returns ``out``.
     """
+    window = hann_window()
+    wsq = window * window
+    length = out.shape[-1]
+
+    def write(slots, first_slot):
+        start = (first_slot - 1) * HOP_SIZE
+        samples = slots.reshape(slots.shape[:-2] + (-1,))
+        lo, hi = max(start, 0), min(start + samples.shape[-1], length)
+        if lo < hi:
+            out[..., lo:hi] = samples[..., lo - start:hi - start]
+
+    tail = np.zeros(out.shape[:-1] + (HOP_SIZE,))
+    slot = 0
+    for block in blocks:
+        segments = np.fft.irfft(block, n=WINDOW_SIZE, axis=-1)
+        segments *= window
+        frames = segments.shape[-2]
+        # Both halves are added onto zeros, so every slot, signed zeros
+        # included, equals the whole-spectrogram overlap-add bit for bit.
+        slots = np.zeros(segments.shape[:-2] + (frames + 1, HOP_SIZE))
+        slots[..., 0, :] = tail
+        slots[..., :-1, :] += segments[..., :HOP_SIZE]
+        slots[..., 1:, :] += segments[..., HOP_SIZE:]
+        tail = slots[..., -1, :]
+        done = slots[..., :-1, :]
+        done /= wsq[:HOP_SIZE] + wsq[HOP_SIZE:]
+        write(done, slot)
+        slot += frames
+    tail /= np.maximum(wsq[HOP_SIZE:], 1e-12)
+    write(tail[..., None, :], slot)
+    out[..., slot * HOP_SIZE:] = 0.0
+    return out
+
+
+def istft(spec: ComplexSpectrogram) -> AudioClip:
+    """Inverse STFT of one channel, exactly ``spec.length`` samples long
+    (see ``overlap_add``)."""
     if spec.bins != FREQ_BINS:
         raise ShapeError(f"spectrogram has {spec.bins} bins, expected {FREQ_BINS}")
-    window = hann_window()
-    segments = np.fft.irfft(spec.data.T, n=WINDOW_SIZE, axis=1)
-    segments *= window
-    out = np.zeros((spec.frames + 1, HOP_SIZE))
-    out[:-1] += segments[:, :HOP_SIZE]
-    out[1:] += segments[:, HOP_SIZE:]
-    wsq = window * window
-    out[1:-1] /= wsq[:HOP_SIZE] + wsq[HOP_SIZE:]
-    out[-1] /= np.maximum(wsq[HOP_SIZE:], 1e-12)
-    samples = out.reshape(-1)[HOP_SIZE:HOP_SIZE + spec.length]
-    if samples.size < spec.length:
-        samples = np.pad(samples, (0, spec.length - samples.size))
+    frames = spec.data.T
+    samples = overlap_add((frames[block] for block in frame_blocks(spec.frames)),
+                          np.empty(spec.length))
     return AudioClip(samples, spec.sample_rate)
 
 
@@ -108,18 +165,26 @@ def magnitude_from_features(features: np.ndarray) -> np.ndarray:
     return np.maximum(np.expm1(features), 0.0)
 
 
-def wiener_masks(source_mags, mixture: ComplexSpectrogram) -> list[ComplexSpectrogram]:
-    """Single-pass power-ratio soft masks applied to the complex mixture.
+def masked_frames(source_mags: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:
+    """Power-ratio soft masks of (S, F, t) source magnitudes applied to the
+    frame-major (t, F) mixture frames: (S, t, F) complex.
 
     mask_s = mag_s^2 / max(sum_j mag_j^2, floor); the floor only binds in
     (near-)silent bins, so wherever it does not, the masked sources sum
-    exactly to the mixture bin. The mixture phase is inherited.
-
-    The arithmetic runs frame-major, (S, T, F), against ``mixture.data.T``
-    (the contiguous ``rfft`` output of ``stft``). Each returned ``data`` is
-    the (bins, frames) transpose of a contiguous frame-major array, so the
-    ``irfft`` in ``istft`` reads contiguous rows.
+    exactly to the mixture bin. The mixture phase is inherited. The
+    arithmetic runs frame-major against the contiguous ``rfft`` rows of
+    ``stft``, so each frame's ``irfft`` reads a contiguous row.
     """
+    ratios = np.square(source_mags.transpose(0, 2, 1), dtype=np.float64, order="C")  # power
+    ratios /= np.maximum(ratios.sum(axis=0), WIENER_POWER_FLOOR)
+    return ratios * mixture_frames
+
+
+def wiener_masks(source_mags, mixture: ComplexSpectrogram) -> list[ComplexSpectrogram]:
+    """Single-pass power-ratio soft masks (``masked_frames``) of (S, F, T)
+    source magnitudes applied to the complex mixture, one spectrogram per
+    source. Each returned ``data`` is the (bins, frames) transpose of a
+    contiguous frame-major array."""
     mags = np.asarray(source_mags)
     if mags.ndim != 3:
         raise ShapeError(f"expected source magnitudes of shape (S, F, T), got {mags.shape}")
@@ -127,11 +192,31 @@ def wiener_masks(source_mags, mixture: ComplexSpectrogram) -> list[ComplexSpectr
         raise ShapeError(f"source magnitudes {mags.shape[1:]} do not match mixture {mixture.data.shape}")
     if np.any(mags < 0):
         raise DataError("negative magnitudes passed to wiener_masks")
-    ratios = np.square(mags.transpose(0, 2, 1), dtype=np.float64, order="C")  # (S, T, F) power
-    ratios /= np.maximum(ratios.sum(axis=0), WIENER_POWER_FLOOR)
-    mixture_tf = mixture.data.T
-    return [ComplexSpectrogram((ratio * mixture_tf).T, mixture.sample_rate, mixture.length)
-            for ratio in ratios]
+    return [ComplexSpectrogram(masked.T, mixture.sample_rate, mixture.length)
+            for masked in masked_frames(mags, mixture.data.T)]
+
+
+def wiener_synthesis(source_features: np.ndarray, mixture: ComplexSpectrogram,
+                     out: np.ndarray) -> np.ndarray:
+    """Every source's waveform from its (S, F, T) log1p-magnitude estimate:
+    magnitudes clipped at ``MASK_MAG_FLOOR``, Wiener-masked against
+    ``mixture`` and inverted, one frame block at a time, into ``out``
+    (S, length).
+
+    Bit-identical to ``istft`` of each of ``wiener_masks(np.maximum(
+    magnitude_from_features(source_features), MASK_MAG_FLOOR), mixture)``,
+    but only one block of masks and masked frames exists at a time.
+    """
+    if source_features.shape[1:] != mixture.data.shape:
+        raise ShapeError(f"source estimates {source_features.shape[1:]} do not match mixture "
+                         f"{mixture.data.shape}")
+    if out.shape != (source_features.shape[0], mixture.length):
+        raise ShapeError(f"output buffer {out.shape} is not (sources, {mixture.length})")
+    frames = mixture.data.T
+    blocks = (masked_frames(np.maximum(np.expm1(source_features[..., block]), MASK_MAG_FLOOR),
+                            frames[block])
+              for block in frame_blocks(mixture.frames))
+    return overlap_add(blocks, out)
 
 
 def sdr(reference: AudioClip, estimate: AudioClip) -> float | None:

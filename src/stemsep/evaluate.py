@@ -1,11 +1,14 @@
 """Whole-song inference with Wiener post-processing, SDR evaluation
 reports, and spectrogram dumps for qualitative inspection.
 
-Each channel of a song is processed independently with the shared model:
-STFT -> log1p features -> network (residual runners iterate; enhancer
-runners refine per source) -> expm1 -> power-ratio masks against the
-mixture STFT (mixture phase) -> inverse STFT, trimmed to the input
-length. The accompaniment is the sum of the non-vocal stems by default;
+Each channel of a song runs through the shared model whole: STFT ->
+log1p features -> network (residual runners iterate; enhancer runners
+refine per source). Synthesis then walks that channel's frames in blocks
+(``dsp.wiener_synthesis``): expm1 -> power-ratio masks against the
+mixture STFT (mixture phase) -> inverse STFT, written straight into one
+(sources, channels, samples) stem buffer of exactly the input length. The
+output is bit-identical to masking and inverting the whole song at once.
+The accompaniment is the sum of the non-vocal stems by default;
 ``accompaniment="all4"`` sums all four instead.
 """
 
@@ -28,10 +31,6 @@ log = logging.getLogger(__name__)
 
 ACCOMPANIMENT_MODES = ("nonvocal", "all4")
 VOCALS = "vocals"
-# Mask-input magnitude floor: keeps every mixture bin fully distributed
-# across stems (conservation) even where the network predicts silence.
-# At -80 dBFS it is far below audibility.
-MASK_MAG_FLOOR = 1e-4
 
 
 def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "nonvocal") -> dict:
@@ -51,33 +50,32 @@ def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "no
     if song.num_samples < dsp.WINDOW_SIZE:
         raise DataError(f"song is shorter than one {dsp.WINDOW_SIZE}-sample analysis window")
 
-    per_channel = {name: [] for name in sources}
+    samples = np.empty((len(sources), song.channels, song.num_samples))
     for c in range(song.channels):
         mixture_spec = dsp.stft(song.channel(c), sample_rate=song.sample_rate)
         features = dsp.log1p_magnitude(mixture_spec)
         with no_grad():
-            mags = bundle.predict(features).data.reshape((len(sources),) + features.shape)
-        # Rebinding frees the log-domain estimates before the next channel's forward.
-        mags = np.maximum(dsp.magnitude_from_features(mags), MASK_MAG_FLOOR)
-        for name, masked in zip(sources, dsp.wiener_masks(mags, mixture_spec)):
-            per_channel[name].append(dsp.istft(masked).channel(0))
+            estimates = bundle.predict(features).data.reshape((len(sources),) + features.shape)
+        dsp.wiener_synthesis(estimates, mixture_spec, samples[:, c])
+        del estimates  # freed before the next channel's forward, which sets the peak
 
-    stems = {name: AudioClip(np.stack(chans), song.sample_rate)
-             for name, chans in per_channel.items()}
+    stems = {name: AudioClip(samples[s], song.sample_rate) for s, name in enumerate(sources)}
     stems["accompaniment"] = _accompaniment_stem(stems, sources, accompaniment, song)
     return stems
 
 
 def _accompaniment_stem(stems: dict, sources, accompaniment: str, like: AudioClip) -> AudioClip:
     """Sum of the non-vocal stems (of all stems if none is non-vocal), or of
-    every stem when ``accompaniment == "all4"``; shaped and rated as ``like``."""
+    every stem when ``accompaniment == "all4"``, rated as ``like``. Its
+    shape is ``like``'s broadcast against the stems', so a mono mixture
+    with stereo stems gives a stereo sum."""
     if accompaniment == "all4":
         parts = list(sources)
     else:
         parts = [name for name in sources if name != VOCALS] or list(sources)
-    data = np.zeros_like(like.data)
+    data = np.zeros(np.broadcast_shapes(like.data.shape, *(stems[n].data.shape for n in parts)))
     for name in parts:
-        data = data + stems[name].data
+        data += stems[name].data
     return AudioClip(data, like.sample_rate)
 
 

@@ -1,9 +1,12 @@
 """STFT/iSTFT against a direct DFT-sum oracle and round-trips; Wiener
-mask conservation; energy-ratio SDR contracts."""
+mask conservation; blocked Wiener synthesis against the whole-spectrogram
+formulas and its working memory; energy-ratio SDR contracts."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rng_for
@@ -47,6 +50,15 @@ def istft_loop_oracle(spec):
     out /= np.maximum(envelope, 1e-12)
     half = dsp.WINDOW_SIZE // 2
     return out[half:half + spec.length]
+
+
+def samples_for_frames(frames, extra=0):
+    """A signal length whose STFT has ``frames`` frames (1 + n // hop);
+    ``extra`` < hop samples spill into the last hop slot."""
+    return (frames - 1) * dsp.HOP_SIZE + extra
+
+
+BLOCK = dsp.SYNTHESIS_BLOCK_FRAMES
 
 
 def interior_rel_rms(x, y, margin=dsp.WINDOW_SIZE):
@@ -135,6 +147,28 @@ def test_istft_bit_equal_to_frame_loop(seed, n):
     spec = dsp.stft(rng.normal(size=n), sample_rate=44100)
     spec.data = spec.data * rng.uniform(0.0, 2.0, size=spec.data.shape)  # not a valid STFT
     assert np.array_equal(dsp.istft(spec).channel(0), istft_loop_oracle(spec))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**16), st.integers(dsp.WINDOW_SIZE, samples_for_frames(3 * BLOCK + 2)))
+@example(1, samples_for_frames(BLOCK - 1, 517))
+@example(2, samples_for_frames(BLOCK))
+@example(3, samples_for_frames(BLOCK + 1, 1))
+def test_istft_bit_equal_to_frame_loop_across_blocks(seed, n):
+    rng = np.random.default_rng(seed)
+    spec = dsp.stft(rng.normal(size=n), sample_rate=44100)
+    spec.data = spec.data * rng.uniform(0.0, 2.0, size=spec.data.shape)  # not a valid STFT
+    assert np.array_equal(dsp.istft(spec).channel(0), istft_loop_oracle(spec))
+
+
+def test_istft_zero_fills_past_the_last_frame():
+    spec = dsp.stft(rng_for("short-spec").normal(size=4 * dsp.HOP_SIZE), sample_rate=44100)
+    spec.length = 6 * dsp.HOP_SIZE + 5  # its 5 frames cover only 5 hops
+    covered = istft_loop_oracle(spec)
+    out = dsp.istft(spec).channel(0)
+    assert covered.size == 5 * dsp.HOP_SIZE and out.size == spec.length
+    assert np.array_equal(out[:covered.size], covered)
+    assert not out[covered.size:].any()
 
 
 def test_roundtrip_white_noise():
@@ -263,6 +297,69 @@ def test_frame_major_wiener_and_istft_match_bins_major_formula(seed, hops, sourc
         assert got.data.T.flags["C_CONTIGUOUS"]  # istft's irfft reads contiguous rows
         reference = dsp.ComplexSpectrogram(want, mix.sample_rate, mix.length)
         assert np.array_equal(dsp.istft(got).data, dsp.istft(reference).data)
+
+
+def whole_spectrogram_synthesis(features, mixture):
+    """Every source's waveform the unblocked way: whole-spectrogram
+    magnitudes and masks, then the frame-loop inverse per source."""
+    mags = np.maximum(np.maximum(np.expm1(features), 0.0), dsp.MASK_MAG_FLOOR)
+    return np.stack([istft_loop_oracle(dsp.ComplexSpectrogram(masked, mixture.sample_rate,
+                                                              mixture.length))
+                     for masked in bins_major_wiener(mags, mixture)])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sources=st.integers(1, 4),
+       n=st.integers(dsp.WINDOW_SIZE, samples_for_frames(3 * BLOCK + 2)), single=st.booleans())
+@example(seed=1, sources=4, n=samples_for_frames(BLOCK - 1, 517), single=True)
+@example(seed=2, sources=2, n=samples_for_frames(BLOCK), single=False)
+@example(seed=3, sources=3, n=samples_for_frames(BLOCK + 1, 1), single=True)
+def test_wiener_synthesis_bit_equal_to_whole_spectrogram(seed, sources, n, single):
+    rng = np.random.default_rng(seed)
+    mixture = dsp.stft(rng.normal(size=n), sample_rate=44100)
+    features = rng.normal(0.0, 1.5, size=(sources,) + mixture.data.shape)  # negative excursions
+    features[:, rng.random(mixture.data.shape) < 0.05] = -np.inf  # magnitude 0: the floors bind
+    features[0, 5, int(rng.integers(mixture.frames))] = np.nan
+    if single:
+        features = features.astype(np.float32)  # what separate_song passes
+    out = np.full((sources, n), 7.0)
+    dsp.wiener_synthesis(features, mixture, out)
+    assert np.array_equal(out, whole_spectrogram_synthesis(features, mixture),
+                          equal_nan=True)
+    assert np.isnan(out).any()
+
+
+def test_wiener_synthesis_rejects_mismatched_shapes():
+    mixture = dsp.stft(np.zeros(3 * dsp.WINDOW_SIZE), sample_rate=44100)
+    features = np.zeros((2,) + mixture.data.shape)
+    with pytest.raises(ShapeError):
+        dsp.wiener_synthesis(features[:, :, :-1], mixture, np.empty((2, mixture.length)))
+    with pytest.raises(ShapeError):
+        dsp.wiener_synthesis(features, mixture, np.empty((3, mixture.length)))
+
+
+def synthesis_peak_bytes(frames, sources):
+    """tracemalloc's peak while ``wiener_synthesis`` runs over a song of
+    ``frames`` frames; inputs and the output buffer exist beforehand."""
+    rng = rng_for(f"synthesis-memory-{frames}")
+    mixture = dsp.stft(rng.normal(size=samples_for_frames(frames)), sample_rate=44100)
+    features = rng.random((sources,) + mixture.data.shape, dtype=np.float32)
+    out = np.empty((sources, mixture.length))
+    tracemalloc.start()
+    try:
+        dsp.wiener_synthesis(features, mixture, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wiener_synthesis_working_memory_does_not_grow_with_frames():
+    sources = 4
+    # One block's masked frames (complex128) and their irfft output (float64).
+    block_bytes = sources * BLOCK * (dsp.FREQ_BINS * 16 + dsp.WINDOW_SIZE * 8)
+    short, long = synthesis_peak_bytes(2 * BLOCK, sources), synthesis_peak_bytes(8 * BLOCK, sources)
+    assert short > block_bytes // 2  # the trace sees numpy's buffers
+    assert long - short <= block_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from conftest import rng_for
 from stemsep import dsp
 from stemsep import tensor as T
-from stemsep.audio_io import SOURCES, AudioClip, Track, write_wav
+from stemsep.audio_io import SOURCES, AudioClip, Track, read_wav, write_wav
 from stemsep.errors import ConfigError, DataError
 from stemsep.evaluate import (
     EvalReport,
@@ -28,10 +28,11 @@ from stemsep.models import (
 )
 
 from test_audio_io import TRUNCATED_WAV, make_dataset
+from test_dsp import BLOCK, samples_for_frames, whole_spectrogram_synthesis
 
 
-def full_bins_bundle(mode="separator", sources=SOURCES, seed=0):
-    with T.using_dtype(np.float32):
+def full_bins_bundle(mode="separator", sources=SOURCES, seed=0, dtype=np.float32):
+    with T.using_dtype(dtype):
         cfg = separator_config(
             source_count=len(sources), freq_bins=dsp.FREQ_BINS,
             channels=(8, 6, 4), kernels=(3, 3, 2), strides=(2, 2, 2),
@@ -116,6 +117,51 @@ def test_enhancer_bundle_separates_a_song():
         assert rms < 1e-6
 
 
+def whole_song_oracle(bundle, song, accompaniment):
+    """separate_song before frame-blocked synthesis: whole-song masks and
+    inverse STFTs per channel, stacked, and a fresh array for every
+    partial accompaniment sum."""
+    sources = list(bundle.sources)
+    channels = []
+    for c in range(song.channels):
+        mixture = dsp.stft(song.channel(c), sample_rate=song.sample_rate)
+        features = dsp.log1p_magnitude(mixture)
+        with T.no_grad():
+            estimates = bundle.predict(features).data.reshape((len(sources),) + features.shape)
+        channels.append(whole_spectrogram_synthesis(estimates, mixture))
+    stems = dict(zip(sources, np.stack(channels, axis=1)))
+    nonvocal = [name for name in sources if name != "vocals"] or sources
+    accomp = np.zeros_like(song.data)
+    for name in (sources if accompaniment == "all4" else nonvocal):
+        accomp = accomp + stems[name]
+    stems["accompaniment"] = accomp
+    return stems
+
+
+SONG_LENGTHS = {
+    "block-1": samples_for_frames(BLOCK - 1, 517),
+    "block": samples_for_frames(BLOCK),
+    "block+1": samples_for_frames(BLOCK + 1, 1),
+    "window": dsp.WINDOW_SIZE,
+}
+
+
+@pytest.mark.parametrize("length", SONG_LENGTHS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("mode", ["separator", "residual", "enhancer"])
+def test_separate_song_bit_equal_to_whole_song_oracle(mode, dtype, length):
+    bundle = full_bins_bundle(mode=mode, dtype=dtype)
+    n = SONG_LENGTHS[length]
+    for channels in (1, 2):
+        song = AudioClip(0.2 * rng_for(f"oracle-{length}").normal(size=(channels, n)), 44100)
+        for accompaniment in ("nonvocal", "all4"):
+            stems = separate_song(bundle, song, accompaniment=accompaniment)
+            expected = whole_song_oracle(bundle, song, accompaniment)
+            assert set(stems) == set(expected)
+            for name, want in expected.items():
+                assert np.array_equal(stems[name].data, want), (channels, accompaniment, name)
+
+
 def test_bad_accompaniment_mode():
     with pytest.raises(ConfigError):
         separate_song(full_bins_bundle(), short_song(), accompaniment="everything")
@@ -143,6 +189,20 @@ def test_oracle_estimates_all4_accompaniment_hits_cap(tmp_path):
                       accompaniment="all4")
     accomp = [row for row in report.rows if row.source == "accompaniment"]
     assert len(accomp) == 1 and accomp[0].sdr_db == 100.0
+
+
+def test_mono_mixture_with_stereo_stems_is_scored(tmp_path):
+    # load_track checks lengths, not channel counts: the accompaniment sums
+    # broadcast the mono mixture's shape against the stereo stems.
+    make_dataset(tmp_path, seconds=0.3, tracks=("alpha",), channels=2)
+    track = tmp_path / "test" / "alpha"
+    write_wav(track / "mixture.wav", AudioClip(read_wav(track / "mixture.wav").data[:1]),
+              fmt="float32")
+    for accompaniment in ("nonvocal", "all4"):
+        report = evaluate(tmp_path, split="test", estimates_dir=tmp_path / "test",
+                          accompaniment=accompaniment)
+        assert report.skipped == []
+        assert [row.sdr_db for row in report.rows] == [100.0] * (len(SOURCES) + 1)
 
 
 def test_zero_estimates_give_zero_db(tmp_path):
