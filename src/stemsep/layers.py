@@ -3,13 +3,15 @@ weight/batch normalization, and parameter initialization.
 
 Convolutions and the GRU are fused tape operations: each call records
 one op whose hand-written backward rule does the work in BLAS matmuls.
-Both convolutions are built on one pair of helpers: ``_gather_taps``
-stacks the K time-shifted copies of a ``(B, C, T)`` input as ``(B, K*C,
-T_out)`` rows, and ``_scatter_taps``, its adjoint, adds such rows back at
-their shifts. A transposed convolution is the adjoint of a convolution
-(Dumoulin & Visin 2016), so each forward and backward product is one GEMM
-per batch item that lands directly in ``(C, T)`` layout, with no
-transpose. The GRU's backward is backpropagation through time. Every
+Both convolutions share ``_gather_taps``, which stacks the K time-shifted
+copies of a ``(B, C, T)`` input as ``(B, K*C, T_out)`` rows, and
+``_scatter_taps``, its adjoint, which adds such rows back at their
+shifts. A convolution is one GEMM over the gathered input taps per
+batch item, landing directly in ``(C, T)`` layout. A transposed
+convolution with stride s is s interleaved stride-1 convolutions of its
+input, one per output phase (Dumoulin & Visin 2016), so it too gathers
+only input taps and runs one GEMM per phase; no output-sized tap buffer
+is ever built. The GRU's backward is backpropagation through time. Every
 layer takes ``(B, C, T)`` only; the model lifts a single ``(C, T)`` input.
 """
 
@@ -117,27 +119,61 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
 
 def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Gradient-of-convolution semantics: output time = (T - 1) * stride + K,
-    with overlapping contributions summed."""
+    with overlapping contributions summed.
+
+    Output phase p (frames p, p + stride, ...) sees only taps p, p + stride,
+    ..., so it is a stride-1 convolution of the input with those Q_p taps
+    reversed: one GEMM over the last Q_p blocks of the input's
+    Q = ceil(K / stride) stride-1 taps (padded by Q - 1 frames), written
+    into ``out[:, :, p::stride]``. Phases p >= K hold only the bias. The
+    backward splits the same way and sums the phases' input-side products
+    into one tap buffer for ``_scatter_taps``.
+    """
     x = _batched(x)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
         raise ShapeError(f"conv_transpose1d: input has {xb.shape[1]} channels, weight expects {c_in}")
-    t = xb.shape[2]
+    b, _, t = xb.shape
     t_out = (t - 1) * stride + kernel
+    q = -(-kernel // stride)
+    pad = q - 1
+    padded = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
+    cols = _gather_taps(padded, q, 1, t + pad)                          # (B, Q*C_in, T+Q-1)
 
-    wk = weight.data.transpose(2, 0, 1).reshape(kernel * c_out, c_in)   # (K*C_out, C_in)
-    out_data = _scatter_taps(wk @ xb, kernel, stride, t_out)
-    out_data += bias.data[:, None]
+    # phases[p] = (first tap row of cols, frame count, W_p (C_out, Q_p*C_in))
+    phases = []
+    for p in range(min(stride, kernel)):
+        taps = weight.data[:, :, p::stride][:, :, ::-1]                  # (C_out, C_in, Q_p)
+        q_p = taps.shape[2]
+        phases.append(((q - q_p) * c_in, t + q_p - 1,
+                       taps.transpose(0, 2, 1).reshape(c_out, q_p * c_in)))
+
+    out_data = np.empty((b, c_out, t_out), dtype=np.result_type(xb, weight.data))
+    bias_col = bias.data[:, None]
+    for p, (row, frames, w_p) in enumerate(phases):
+        np.add(w_p @ cols[:, row:, :frames], bias_col, out=out_data[:, :, p::stride])
+    for p in range(kernel, stride):
+        out_data[:, :, p::stride] = bias_col
     out = Tensor._wrap(out_data)
 
     def backward_rule(g):
-        gcols = _gather_taps(g, kernel, stride, t)                       # (B, K*C_out, T)
-        if x.requires_grad:
-            accumulate_grad(x, wk.T @ gcols)
-        dw = _summed_gemm(gcols, xb).reshape(kernel, c_out, c_in).transpose(1, 2, 0)
-        accumulate_grad(weight, np.ascontiguousarray(dw))
+        dw = np.empty_like(weight.data)
+        dcols = np.zeros_like(cols) if x.requires_grad else None
+        for p, (row, frames, w_p) in enumerate(phases):
+            dw_p = np.zeros_like(w_p)
+            # Per batch item, so each de-interleaved gradient copy stays cache-sized.
+            for i in range(b):
+                g_p = np.ascontiguousarray(g[i, :, p::stride])           # (C_out, frames)
+                dw_p += g_p @ cols[i, row:, :frames].T
+                if dcols is not None:
+                    dcols[i, row:, :frames] += w_p.T @ g_p
+            dw[:, :, p::stride] = dw_p.reshape(c_out, -1, c_in)[:, ::-1].transpose(0, 2, 1)
+        accumulate_grad(weight, dw)
         accumulate_grad(bias, g.sum(axis=(0, 2)))
+        if dcols is not None:
+            dpad = _scatter_taps(dcols, q, 1, t + 2 * pad)
+            accumulate_grad(x, dpad[:, :, pad:pad + t])
 
     return record_op(out, (x, weight, bias), backward_rule)
 

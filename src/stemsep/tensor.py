@@ -379,7 +379,7 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
     def fwd(xd):
         return np.where(xd >= 0, xd, slope * xd)
 
-    return _unary(x, fwd, lambda xd, od: lambda g: g * np.where(xd >= 0, 1.0, slope))
+    return _unary(x, fwd, lambda xd, od: lambda g: np.where(xd >= 0, g, g * slope))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reference convolution kernels: im2col windows for ``conv1d`` and K
-strided scatter-adds for ``conv_transpose1d``, each GEMM written time-major
-and transposed back. They are the oracle for the channel-major
-gather/scatter kernels in ``stemsep.layers`` and take the same arguments,
-so both run the same weights."""
+strided scatter-adds of a (K*C_out, T) tap product for
+``conv_transpose1d``, each GEMM written time-major and transposed back.
+They are the oracle for the channel-major tap gather of ``conv1d`` and the
+polyphase kernel of ``conv_transpose1d`` in ``stemsep.layers``, and take
+the same arguments, so both run the same weights."""
 
 import numpy as np
 

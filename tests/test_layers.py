@@ -2,6 +2,7 @@
 recurrences, and finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,21 +287,24 @@ def _max_relative_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("op,oracle,c_in,c_out,frames,time_major", [
+@pytest.mark.parametrize("op,oracle,batch,c_in,c_out,frames,time_major", [
     # First encoder conv on time-major STFT features, as separation feeds it.
-    (conv1d, im2col_conv1d, 1025, 512, 1201, True),
-    (conv_transpose1d, scatter_conv_transpose1d, 512, 4100, 600, False),
-], ids=["first-conv", "last-tconv"])
-def test_conv_kernels_float32_at_model_shapes(op, oracle, c_in, c_out, frames, time_major):
+    (conv1d, im2col_conv1d, 1, 1025, 512, 1201, True),
+    (conv_transpose1d, scatter_conv_transpose1d, 1, 512, 4100, 600, False),
+    # Last decoder tconv of the reduced model on a training batch of 5 s clips.
+    (conv_transpose1d, scatter_conv_transpose1d, 10, 64, 2050, 109, False),
+], ids=["first-conv", "last-tconv", "train-last-tconv"])
+def test_conv_kernels_float32_at_model_shapes(op, oracle, batch, c_in, c_out, frames,
+                                              time_major):
     rng = rng_for(f"conv-f32-{c_in}-{c_out}")
     with T.using_dtype(np.float32):
-        x = rng.normal(size=(1, c_in, frames)).astype(np.float32)
+        x = rng.normal(size=(batch, c_in, frames)).astype(np.float32)
         if time_major:
             x = _time_major(x)
         w = (rng.normal(size=(c_out, c_in, 5)) / np.sqrt(5 * c_in)).astype(np.float32)
         bias = rng.normal(size=c_out).astype(np.float32)
         t_out = op(T.Tensor(x), param(w), param(bias), stride=2).data.shape[-1]
-        probe = rng.normal(size=(1, c_out, t_out)).astype(np.float32)
+        probe = rng.normal(size=(batch, c_out, t_out)).astype(np.float32)
         out, grads = _conv_outputs_and_grads(op, x, w, bias, probe, stride=2)
         ref_out, ref_grads = _conv_outputs_and_grads(oracle, x, w, bias, probe, stride=2)
     assert out.dtype == np.float32
@@ -308,6 +312,40 @@ def test_conv_kernels_float32_at_model_shapes(op, oracle, c_in, c_out, frames, t
     for got, want in zip(grads, ref_grads, strict=True):
         assert got.dtype == np.float32
         assert _max_relative_error(got, want) <= 1e-5
+
+
+def test_conv_transpose1d_working_memory_at_separation_shape():
+    """The default model's last tconv over a 120 s song, no grad: what the
+    forward allocates besides its output stays below the (K*C_out, T)
+    product that a tap-scatter formulation materializes."""
+    c_in, c_out, kernel, frames = 512, 4100, 5, 2584
+    rng = rng_for("tconv-memory")
+    with T.using_dtype(np.float32), T.no_grad():
+        x = T.Tensor(rng.standard_normal((1, c_in, frames), dtype=np.float32))
+        w = T.Tensor(rng.standard_normal((c_out, c_in, kernel), dtype=np.float32))
+        bias = T.Tensor(np.zeros(c_out))
+        tracemalloc.start()
+        try:
+            out = conv_transpose1d(x, w, bias, stride=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.data.shape == (1, c_out, (frames - 1) * 2 + kernel)
+    working, product = peak - out.data.nbytes, kernel * c_out * frames * out.data.itemsize
+    assert working < product
+
+
+def test_conv_transpose1d_call_is_one_tape_op():
+    rng = rng_for("tconv-tape")
+    w, bias = param(rng.normal(size=(3, 2, 5))), param(rng.normal(size=3))
+    tape = T.current_tape()
+    tape.clear()
+    for stride in (1, 2, 7):
+        before = len(tape)
+        conv_transpose1d(T.Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True), w, bias,
+                         stride=stride)
+        assert len(tape) - before == 1
+    tape.clear()
 
 
 # ---------------------------------------------------------------------------

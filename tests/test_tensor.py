@@ -53,6 +53,26 @@ def test_leaky_relu_negative_slope():
     assert out.data[0] == pytest.approx(-0.01)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_backward_keeps_input_dtype(dtype):
+    rng = rng_for("leaky-dtype")
+    x = np.concatenate([[-1.0, 0.0, 1.0], rng.normal(size=61)])
+    probe = rng.normal(size=x.size)
+    with T.using_dtype(dtype):
+        t = T.Tensor(x, requires_grad=True)
+        out = T.leaky_relu(t, slope=0.01)
+        T.backward(T.reduce_sum(T.mul(out, T.Tensor(probe))))
+        probe = probe.astype(dtype)
+    assert t.grad.dtype == dtype
+    # The backward applies the slope the forward applied: out(-1) = -slope.
+    slope = -out.data[0]
+    neg = t.data < 0
+    assert np.array_equal(t.grad[neg], probe[neg] * slope)
+    assert np.array_equal(t.grad[~neg], probe[~neg])
+    if dtype == np.float64:
+        assert np.array_equal(t.grad, probe * np.where(x >= 0, 1.0, 0.01))
+
+
 def test_expm1_inverts_log1p():
     x = np.linspace(0.0, 1e3, 512)
     back = T.expm1(T.log1p(T.Tensor(x))).data
