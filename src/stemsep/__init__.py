@@ -40,10 +40,8 @@ from .optim import Adam, build_optimizer
 from .tensor import (
     Tensor,
     backward,
-    get_default_dtype,
     gradient_check,
     no_grad,
-    set_default_dtype,
     using_dtype,
 )
 from .training import (

@@ -26,6 +26,7 @@ from .errors import (
     CheckpointMismatchError,
     CheckpointVersionError,
     CorruptCheckpointError,
+    DataError,
 )
 from .models import (
     BUNDLE_MODES,
@@ -256,7 +257,10 @@ def _tensor_entry(entry, offset: int, path) -> tuple:
 
 def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
     path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     if len(blob) < _HEADER_STRUCT.size:
         raise CorruptCheckpointError(
             f"checkpoint {path} truncated inside the fixed header "

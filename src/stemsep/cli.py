@@ -13,8 +13,6 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .audio_io import load_split, load_track, read_wav, write_wav
 from .checkpoint import (
@@ -70,12 +68,20 @@ def _resolved(args) -> dict:
     return cfgmod.resolve(getattr(args, "config", None), _split_overrides(args.overrides))
 
 
-def _dtype(values):
-    return np.float32 if values["train.dtype"] == "float32" else np.float64
-
-
 # ---------------------------------------------------------------------------
 # Verbs
+
+
+def _train_windows(dataset, values, sources):
+    """The train split's source pool and validation windows; an empty
+    validation split is a DataError."""
+    tracks = load_split(dataset, "train", sources=sources)
+    pool, val_windows = segment_songs(
+        tracks, clip_seconds=values["data.clip_seconds"],
+        val_ratio=values["data.val_ratio"], seed=values["train.seed"], sources=sources)
+    if not val_windows:
+        raise DataError("validation split is empty; add songs or lower data.val_ratio")
+    return pool, val_windows
 
 
 def _train_and_save(out, bundle, pool, val_windows, tcfg):
@@ -96,14 +102,9 @@ def cmd_train(args) -> int:
     values = _resolved(args)
     sources = cfgmod.source_names(values)
     model_cfg = cfgmod.model_config(values)
-    tracks = load_split(args.dataset, "train", sources=sources)
-    pool, val_windows = segment_songs(
-        tracks, clip_seconds=values["data.clip_seconds"],
-        val_ratio=values["data.val_ratio"], seed=values["train.seed"], sources=sources)
-    if not val_windows:
-        raise DataError("validation split is empty; add songs or lower data.val_ratio")
+    pool, val_windows = _train_windows(args.dataset, values, sources)
     mode = values["train.mode"]
-    with using_dtype(_dtype(values)):
+    with using_dtype(values["train.dtype"]):
         separator = build_separator(model_cfg, rng=values["train.seed"])
         residual = ResidualConfig(values["train.residual_iterations"]) \
             if mode == "residual" else None
@@ -121,12 +122,7 @@ def cmd_train_enhancer(args) -> int:
         raise CheckpointMismatchError(
             f"enhancers train on top of a separator checkpoint, got mode {base.mode!r}")
     sources = tuple(base.sources)
-    tracks = load_split(args.dataset, "train", sources=sources)
-    pool, val_windows = segment_songs(
-        tracks, clip_seconds=values["data.clip_seconds"],
-        val_ratio=values["data.val_ratio"], seed=values["train.seed"], sources=sources)
-    if not val_windows:
-        raise DataError("validation split is empty; add songs or lower data.val_ratio")
+    pool, val_windows = _train_windows(args.dataset, values, sources)
     with using_dtype(base.dtype()):
         frozen = bundle_from_checkpoint(base)
         enhancers = [build_enhancer(enh_cfg, rng=values["train.seed"] + 1 + s)
@@ -173,6 +169,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_dump_spec(args) -> int:
     if args.track_dir:
+        if not args.out_dir:
+            raise ConfigError("--out-dir is required with --track-dir")
         model = None
         if args.checkpoint:
             model = bundle_from_checkpoint(load_checkpoint(args.checkpoint))
@@ -180,6 +178,8 @@ def cmd_dump_spec(args) -> int:
         written = dump_stem_grid(track, args.out_dir, model=model)
         log.info("wrote %d matrices to %s", len(written), args.out_dir)
     else:
+        if not args.input:
+            raise ConfigError("--input or --track-dir is required")
         if not args.out:
             raise ConfigError("--out is required when dumping a single file")
         dump_spectrogram(read_wav(args.input), args.out)

@@ -22,15 +22,16 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, accumulate_grad, astensor, get_default_dtype, record_op
+from .tensor import Tensor, accumulate_grad, astensor, record_op
 
 NORM_KINDS = ("weight_norm", "batch_norm")
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) in the engine dtype."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) float64 draws; ``Tensor``
+    casts them to the thread's precision."""
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype())
+    return rng.uniform(-bound, bound, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +215,11 @@ class BatchNorm1d:
     EPS = 1e-5
 
     def __init__(self, channels: int):
-        dt = get_default_dtype()
         self.channels = channels
-        self.gamma = Tensor(np.ones(channels, dtype=dt), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dt), requires_grad=True)
-        self.running_mean = np.zeros(channels, dtype=dt)
-        self.running_var = np.ones(channels, dtype=dt)
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.running_mean = np.zeros(channels, dtype=self.gamma.dtype)
+        self.running_var = np.ones(channels, dtype=self.gamma.dtype)
         self.batches_tracked = 0
 
     def __call__(self, x, training: bool) -> Tensor:
@@ -296,7 +296,6 @@ class Conv1d:
         if norm not in NORM_KINDS:
             raise ConfigError(f"unknown norm kind {norm!r}; expected one of {NORM_KINDS}")
         rng = rng or np.random.default_rng()
-        dt = get_default_dtype()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -305,13 +304,13 @@ class Conv1d:
         self.transposed = transposed
         self.norm = norm
 
-        w0 = uniform_init(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size)
-        self.weight = Tensor(w0, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dt), requires_grad=True)
+        self.weight = Tensor(uniform_init(rng, (out_channels, in_channels, kernel_size),
+                                          in_channels * kernel_size), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.weight_g = None
         self.bn = None
         if norm == "weight_norm":
-            norms = np.sqrt((w0.reshape(out_channels, -1) ** 2).sum(axis=1))
+            norms = np.sqrt((self.weight.data.reshape(out_channels, -1) ** 2).sum(axis=1))
             self.weight_g = Tensor(norms, requires_grad=True)
         elif norm == "batch_norm":
             self.bn = BatchNorm1d(out_channels)
@@ -378,7 +377,6 @@ class GRU:
     def __init__(self, input_size: int, hidden_size: int,
                  rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng()
-        dt = get_default_dtype()
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.w = {}
@@ -389,7 +387,7 @@ class GRU:
                                   requires_grad=True)
             self.u[gate] = Tensor(uniform_init(rng, (hidden_size, hidden_size), hidden_size),
                                   requires_grad=True)
-            self.b[gate] = Tensor(np.zeros(hidden_size, dtype=dt), requires_grad=True)
+            self.b[gate] = Tensor(np.zeros(hidden_size), requires_grad=True)
 
     def __call__(self, x) -> Tensor:
         x = _batched(x)

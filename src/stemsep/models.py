@@ -432,7 +432,7 @@ def restore_state(bundle: ModelBundle, state: dict) -> None:
         saved = state[name]
         if saved.shape != p.data.shape:
             raise ShapeError(f"state for {name} has shape {saved.shape}, expected {p.data.shape}")
-        p.data = saved.copy().astype(p.data.dtype)
+        p.data = saved.astype(p.data.dtype)
     for prefix, layer in bundle.modules():
         for name, _ in layer.named_buffers(prefix):
             if name in state:

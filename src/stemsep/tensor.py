@@ -1,11 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are plain numpy arrays in a globally selected precision: float64
-for verification work (finite-difference gradient checks are unreliable
-in single precision) and float32 for training. Every operation executed
-while gradients are enabled appends its backward rule to a per-thread
-tape; ``backward`` replays the tape in reverse order and accumulates
-gradients into each tensor that requires them.
+Values are plain numpy arrays in float64 for verification work
+(finite-difference gradient checks are unreliable in single precision)
+or float32 for training. Precision is per-thread engine state, like the
+tape and the grad flag: float64 until ``using_dtype`` selects another
+for a block, and read only where a tensor is made from a value without a
+float dtype of its own (``Tensor(...)`` and ``astensor``). Everything
+after that follows the dtype of its operands, so a model keeps the
+precision it was built in whichever thread runs it. Every operation
+executed while gradients are enabled appends its backward rule to the
+thread's tape; ``backward`` replays the tape in reverse order and
+accumulates gradients into each tensor that requires them.
 
 Broadcasting in binary operations is restricted to leading dimensions:
 the smaller operand's shape must equal the trailing suffix of the larger
@@ -26,30 +31,18 @@ from .errors import ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "set_default_dtype",
-    "get_default_dtype",
     "using_dtype",
     "no_grad",
-    "enable_grad",
-    "grad_enabled",
     "current_tape",
     "record_op",
     "accumulate_grad",
-    "accumulate_grad_at",
     "astensor",
     "add",
     "sub",
     "mul",
-    "log1p",
-    "expm1",
-    "tanh",
-    "sigmoid",
     "leaky_relu",
-    "matmul",
-    "reduce_sum",
     "reduce_mean",
     "reshape",
-    "transpose",
     "concat",
     "stack",
     "slice_axis",
@@ -58,32 +51,6 @@ __all__ = [
 ]
 
 _VALID_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-_default_dtype = np.dtype(np.float64)
-
-
-def set_default_dtype(dtype) -> None:
-    """Select the precision used for all tensors created afterwards."""
-    global _default_dtype
-    dt = np.dtype(dtype)
-    if dt not in _VALID_DTYPES:
-        raise ValueError(f"unsupported dtype {dt}; expected float32 or float64")
-    _default_dtype = dt
-
-
-def get_default_dtype() -> np.dtype:
-    return _default_dtype
-
-
-@contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default precision."""
-    global _default_dtype
-    previous = _default_dtype
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        _default_dtype = previous
 
 
 class Tape:
@@ -122,6 +89,7 @@ def _ctx():
     if not hasattr(_local, "tape"):
         _local.tape = Tape()
         _local.grad_enabled = True
+        _local.dtype = np.dtype(np.float64)
     return _local
 
 
@@ -130,8 +98,20 @@ def current_tape() -> Tape:
     return _ctx().tape
 
 
-def grad_enabled() -> bool:
-    return _ctx().grad_enabled
+@contextmanager
+def using_dtype(dtype):
+    """Make tensors in ``dtype`` (float32 or float64) on the calling thread
+    for the duration of the block."""
+    dt = np.dtype(dtype)
+    if dt not in _VALID_DTYPES:
+        raise ValueError(f"unsupported dtype {dt}; expected float32 or float64")
+    ctx = _ctx()
+    previous = ctx.dtype
+    ctx.dtype = dt
+    try:
+        yield
+    finally:
+        ctx.dtype = previous
 
 
 @contextmanager
@@ -146,25 +126,13 @@ def no_grad():
         ctx.grad_enabled = previous
 
 
-@contextmanager
-def enable_grad():
-    """Force tape recording back on inside a ``no_grad`` region."""
-    ctx = _ctx()
-    previous = ctx.grad_enabled
-    ctx.grad_enabled = True
-    try:
-        yield
-    finally:
-        ctx.grad_enabled = previous
-
-
 class Tensor:
     """A dense real-valued array with an optional gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        dt = np.dtype(dtype) if dtype is not None else _default_dtype
+        dt = np.dtype(dtype) if dtype is not None else _ctx().dtype
         if dt not in _VALID_DTYPES:
             raise ValueError(f"unsupported dtype {dt}")
         self.data = np.asarray(data, dtype=dt)
@@ -225,9 +193,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -236,13 +201,13 @@ def astensor(x, like: Tensor | None = None) -> Tensor:
     """Wrap arrays and scalars as constant tensors; pass tensors through.
 
     Float arrays keep their own dtype unless ``like`` asks otherwise;
-    scalars and lists adopt ``like``'s dtype or the engine default.
+    scalars and lists adopt ``like``'s dtype or the thread's precision.
     """
     if isinstance(x, Tensor):
         return x
     if like is None and isinstance(x, np.ndarray) and x.dtype in _VALID_DTYPES:
         return Tensor._wrap(x)
-    dtype = like.data.dtype if like is not None else _default_dtype
+    dtype = like.data.dtype if like is not None else _ctx().dtype
     return Tensor._wrap(np.asarray(x, dtype=dtype))
 
 
@@ -271,15 +236,6 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
-
-
-def accumulate_grad_at(t: Tensor, index, g: np.ndarray) -> None:
-    """Scatter-add a gradient contribution into a slice of ``t``'s buffer."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[index] += g
 
 
 # ---------------------------------------------------------------------------
@@ -349,32 +305,6 @@ def _unary(x, fwd, make_bwd) -> Tensor:
     return record_op(out, (x,), backward_rule)
 
 
-def log1p(x) -> Tensor:
-    return _unary(x, np.log1p, lambda xd, od: lambda g: g / (1.0 + xd))
-
-
-def expm1(x) -> Tensor:
-    return _unary(x, np.expm1, lambda xd, od: lambda g: g * (od + 1.0))
-
-
-def tanh(x) -> Tensor:
-    return _unary(x, np.tanh, lambda xd, od: lambda g: g * (1.0 - od * od))
-
-
-def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails: never exponentiates a large positive value.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(x) -> Tensor:
-    return _unary(x, _sigmoid_data, lambda xd, od: lambda g: g * od * (1.0 - od))
-
-
 def leaky_relu(x, slope: float = 0.01) -> Tensor:
     def fwd(xd):
         return np.where(xd >= 0, xd, slope * xd)
@@ -383,24 +313,7 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra and reductions
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    a = astensor(a)
-    b = astensor(b, like=a)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul requires rank-2 operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out = Tensor._wrap(a.data @ b.data)
-
-    def backward_rule(g):
-        accumulate_grad(a, g @ b.data.T)
-        accumulate_grad(b, a.data.T @ g)
-
-    return record_op(out, (a, b), backward_rule)
+# Reductions
 
 
 def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
@@ -423,17 +336,6 @@ def _expand_reduced(g: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
     for ax in axes:
         keep[ax] = 1
     return np.broadcast_to(g.reshape(keep), shape)
-
-
-def reduce_sum(x, axes=None) -> Tensor:
-    x = astensor(x)
-    ax = _normalize_axes(axes, x.data.ndim)
-    out = Tensor._wrap(x.data.sum(axis=ax))
-
-    def backward_rule(g):
-        accumulate_grad(x, _expand_reduced(g, x.data.shape, ax))
-
-    return record_op(out, (x,), backward_rule)
 
 
 def reduce_mean(x, axes=None) -> Tensor:
@@ -460,19 +362,6 @@ def reshape(x, shape) -> Tensor:
 
     def backward_rule(g):
         accumulate_grad(x, g.reshape(x.data.shape))
-
-    return record_op(out, (x,), backward_rule)
-
-
-def transpose(x, axes=None) -> Tensor:
-    x = astensor(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
-    inverse = tuple(np.argsort(axes))
-    out = Tensor._wrap(x.data.transpose(axes))
-
-    def backward_rule(g):
-        accumulate_grad(x, np.ascontiguousarray(g.transpose(inverse)))
 
     return record_op(out, (x,), backward_rule)
 
@@ -523,7 +412,10 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     out = Tensor._wrap(x.data[idx])
 
     def backward_rule(g):
-        accumulate_grad_at(x, idx, g)
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[idx] += g
 
     return record_op(out, (x,), backward_rule)
 
@@ -565,18 +457,19 @@ def gradient_check(f, x: Tensor, eps: float = 1e-5, max_coords: int | None = Non
     as well as functions of the argument itself. Requires float64 data.
     """
     if x.data.dtype != np.float64:
-        raise ValueError("gradient_check requires float64 tensors; switch the default dtype")
-    previous_flag = x.requires_grad
+        raise ValueError("gradient_check requires float64 tensors; make them under using_dtype(np.float64)")
+    ctx = _ctx()
+    previous_flag, previous_grad = x.requires_grad, ctx.grad_enabled
     x.requires_grad = True
     x.grad = None
+    ctx.grad_enabled = True  # record even inside a ``no_grad`` region
     try:
-        with enable_grad():
-            loss = f(x)
-            if loss.data.size != 1:
-                raise ShapeError(f"gradient_check needs a scalar-valued function, got {loss.data.shape}")
-            if not np.isfinite(loss.data).all():
-                raise FloatingPointError("non-finite loss in gradient_check")
-            backward(loss)
+        loss = f(x)
+        if loss.data.size != 1:
+            raise ShapeError(f"gradient_check needs a scalar-valued function, got {loss.data.shape}")
+        if not np.isfinite(loss.data).all():
+            raise FloatingPointError("non-finite loss in gradient_check")
+        backward(loss)
         analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
         flat = x.data.reshape(-1)
@@ -605,3 +498,4 @@ def gradient_check(f, x: Tensor, eps: float = 1e-5, max_coords: int | None = Non
         return worst
     finally:
         x.requires_grad = previous_flag
+        ctx.grad_enabled = previous_grad

@@ -29,14 +29,12 @@ from .tensor import (
     astensor,
     backward,
     current_tape,
-    get_default_dtype,
     mul,
     no_grad,
     reduce_mean,
     reshape,
     stack,
     sub,
-    using_dtype,
 )
 
 log = logging.getLogger(__name__)
@@ -131,7 +129,7 @@ def segment_songs(tracks, clip_seconds: float = 5.0, val_ratio: float = 0.1,
         for c in range(channels):
             for w in range(count):
                 start = w * clip_samples
-                yield {name: AudioClip(track.stems[name].channel(c)[start:start + clip_samples].copy(),
+                yield {name: AudioClip(track.stems[name].channel(c)[start:start + clip_samples],
                                        sample_rate)
                        for name in sources}
 
@@ -172,15 +170,13 @@ def spectral_features(spectra: np.ndarray):
 
 
 def make_batch(pool: SourcePool, rng: np.random.Generator, batch_size: int):
-    """A remixed batch in the default dtype: features (B, F, T) and target
-    magnitudes (B, S, F, T). Per instance and per source, in that order,
-    one ``rng.integers`` call picks the clip."""
+    """A remixed float32 batch: features (B, F, T) and target magnitudes
+    (B, S, F, T); the model casts them to its own dtype. Per instance and
+    per source, in that order, one ``rng.integers`` call picks the clip."""
     chosen = [[pool.spectra[name][int(rng.integers(len(pool.spectra[name])))]
                for name in pool.sources]
               for _ in range(batch_size)]
-    feats, mags = spectral_features(np.array(chosen))
-    dt = get_default_dtype()
-    return feats.astype(dt, copy=False), mags.astype(dt, copy=False)
+    return spectral_features(np.array(chosen))
 
 
 def validation_arrays(val_windows, sources):
@@ -258,13 +254,12 @@ def validation_loss(bundle: ModelBundle, val_pairs, batch_size: int = 10) -> flo
     """Eval-mode loss over fixed validation windows; mutates nothing."""
     if not val_pairs:
         raise DataError("validation set is empty")
-    dt = get_default_dtype()
     total, count = 0.0, 0
     with no_grad():
         for start in range(0, len(val_pairs), batch_size):
             chunk = val_pairs[start:start + batch_size]
-            feats = np.stack([f for f, _ in chunk]).astype(dt)
-            mags = np.stack([m for _, m in chunk]).astype(dt)
+            feats = np.stack([f for f, _ in chunk])
+            mags = np.stack([m for _, m in chunk])
             loss, _ = _forward_loss(bundle, feats, mags, training=False)
             total += float(loss.data) * len(chunk)
             count += len(chunk)
@@ -282,61 +277,58 @@ def train(bundle: ModelBundle, pool: SourcePool, val_windows, cfg: TrainConfig):
     from .checkpoint import make_checkpoint  # deferred: checkpoint imports models
 
     cfg.validate()
-    param_dtype = next(iter(bundle.named_parameters()))[1].data.dtype
+    val_pairs = validation_arrays(val_windows, pool.sources)
+    conv_params, gru_params = bundle.trainable_groups()
+    optimizer = build_optimizer(conv_params, gru_params, cfg.lr_conv, cfg.lr_gru,
+                                gru_clip_norm=cfg.gru_clip_norm)
+    aug_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
-    with using_dtype(param_dtype):
-        val_pairs = validation_arrays(val_windows, pool.sources)
-        conv_params, gru_params = bundle.trainable_groups()
-        optimizer = build_optimizer(conv_params, gru_params, cfg.lr_conv, cfg.lr_gru,
-                                    gru_clip_norm=cfg.gru_clip_norm)
-        aug_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    best_state = collect_state(bundle)
+    best_val = float("inf")
+    best_sequence: list[float] = []
+    val_history: list[float] = []
+    loss_history: list[float] = []
+    bad_validations = 0
+    step = 0
 
-        best_state = collect_state(bundle)
-        best_val = float("inf")
-        best_sequence: list[float] = []
-        val_history: list[float] = []
-        loss_history: list[float] = []
-        bad_validations = 0
-        step = 0
+    def best_checkpoint():
+        restore_state(bundle, best_state)
+        meta = {
+            "seed": cfg.seed,
+            "step": step,
+            "best_val_loss": best_val,
+            "val_history": val_history,
+            "best_sequence": best_sequence,
+        }
+        return make_checkpoint(bundle, optimizer, meta)
 
-        def best_checkpoint():
-            restore_state(bundle, best_state)
-            meta = {
-                "seed": cfg.seed,
-                "step": step,
-                "best_val_loss": best_val,
-                "val_history": val_history,
-                "best_sequence": best_sequence,
-            }
-            return make_checkpoint(bundle, optimizer, meta)
+    for epoch in range(cfg.max_epochs):
+        epoch_losses = []
+        for _ in range(cfg.epoch_batches):
+            feats, mags = make_batch(pool, aug_rng, cfg.batch_size)
+            step += 1
+            try:
+                report = training_step(bundle, optimizer, feats, mags)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"{exc} at step {step}", step=step,
+                    loss_history=(loss_history + exc.loss_history)[-50:],
+                    checkpoint=best_checkpoint() if val_history else None) from exc
+            loss_history.append(report.loss)
+            epoch_losses.append(report.loss)
+        vloss = validation_loss(bundle, val_pairs, cfg.batch_size)
+        val_history.append(vloss)
+        if vloss < best_val:
+            best_val = vloss
+            best_state = collect_state(bundle)
+            best_sequence.append(vloss)
+            bad_validations = 0
+        else:
+            bad_validations += 1
+        log.info("epoch %d: train loss %.6f, val loss %.6f (best %.6f)",
+                 epoch + 1, float(np.mean(epoch_losses)), vloss, best_val)
+        if bad_validations >= cfg.patience:
+            log.info("early stopping after %d stale validations", bad_validations)
+            break
 
-        for epoch in range(cfg.max_epochs):
-            epoch_losses = []
-            for _ in range(cfg.epoch_batches):
-                feats, mags = make_batch(pool, aug_rng, cfg.batch_size)
-                step += 1
-                try:
-                    report = training_step(bundle, optimizer, feats, mags)
-                except DivergenceError as exc:
-                    raise DivergenceError(
-                        f"{exc} at step {step}", step=step,
-                        loss_history=(loss_history + exc.loss_history)[-50:],
-                        checkpoint=best_checkpoint() if val_history else None) from exc
-                loss_history.append(report.loss)
-                epoch_losses.append(report.loss)
-            vloss = validation_loss(bundle, val_pairs, cfg.batch_size)
-            val_history.append(vloss)
-            if vloss < best_val:
-                best_val = vloss
-                best_state = collect_state(bundle)
-                best_sequence.append(vloss)
-                bad_validations = 0
-            else:
-                bad_validations += 1
-            log.info("epoch %d: train loss %.6f, val loss %.6f (best %.6f)",
-                     epoch + 1, float(np.mean(epoch_losses)), vloss, best_val)
-            if bad_validations >= cfg.patience:
-                log.info("early stopping after %d stale validations", bad_validations)
-                break
-
-        return best_checkpoint()
+    return best_checkpoint()

@@ -232,6 +232,16 @@ def test_dump_spec_track_grid(tmp_path):
     assert (out_dir / "estimate_vocals.txt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--track-dir", "--out"],
+                         ids=["track-dir-without-out-dir", "out-without-input"])
+def test_dump_spec_missing_argument_is_config_error(tmp_path, caplog, flag):
+    make_dataset(tmp_path / "data", split="test", tracks=("alpha",), seconds=0.2)
+    value = tmp_path / "data" / "test" / "alpha" if flag == "--track-dir" else tmp_path / "spec.txt"
+    assert main(["dump-spec", flag, str(value)]) == EXIT_CONFIG
+    assert "is required" in caplog.text
+    assert not (tmp_path / "spec.txt").exists()
+
+
 def test_inspect_checkpoint(tmp_path, capsys):
     ckpt_path = small_checkpoint(tmp_path)
     assert main(["inspect-checkpoint", "--checkpoint", str(ckpt_path)]) == EXIT_OK
@@ -255,6 +265,22 @@ def test_inspect_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ssck"
     bad.write_bytes(b"not a checkpoint at all")
     assert main(["inspect-checkpoint", "--checkpoint", str(bad)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("verb", ["inspect-checkpoint", "separate", "evaluate", "train-enhancer"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_checkpoint_path_is_data_error(tmp_path, caplog, verb, target):
+    path = str(tmp_path / "nope.ssck" if target == "missing" else tmp_path)
+    data = str(tmp_path / "data")
+    argv = {
+        "inspect-checkpoint": ["--checkpoint", path],
+        "separate": ["--checkpoint", path, "--input", str(tmp_path / "song.wav"),
+                     "--out-dir", str(tmp_path / "stems")],
+        "evaluate": ["--dataset", data, "--checkpoint", path],
+        "train-enhancer": ["--dataset", data, "--separator", path, "--out", str(tmp_path / "e.ssck")],
+    }[verb]
+    assert main([verb, *argv]) == EXIT_DATA
+    assert "cannot read checkpoint" in caplog.text
 
 
 def _rewrite_checkpoint(path, edit_header, tail=b""):

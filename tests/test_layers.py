@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import rng_for
 from conv_oracle import im2col_conv1d, scatter_conv_transpose1d
+from engine_ops import reduce_sum
 from gru_oracle import composed_gru
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,7 +222,7 @@ def _conv_outputs_and_grads(op, x, w, b, probe, **kwargs):
     and the gradients of the input, weight and bias."""
     xt, wt, bt = T.Tensor(x, requires_grad=True), param(w), param(b)
     out = op(xt, wt, bt, **kwargs)
-    T.backward(T.reduce_sum(T.mul(out, T.Tensor(probe))))
+    T.backward(reduce_sum(T.mul(out, T.Tensor(probe))))
     return out.data, [xt.grad, wt.grad, bt.grad]
 
 
@@ -473,7 +474,7 @@ def _gru_outputs_and_grads(run, gru, x, weight):
         p.zero_grad()
     xt = T.Tensor(x, requires_grad=True)
     out = run(gru, xt)
-    T.backward(T.reduce_sum(T.mul(out, T.Tensor(weight))))
+    T.backward(reduce_sum(T.mul(out, T.Tensor(weight))))
     return out.data, [xt.grad] + [p.grad for p in params]
 
 

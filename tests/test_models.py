@@ -405,3 +405,52 @@ def test_tiny_model_overfits_one_pair():
             if loss < 1e-3:
                 break
         assert loss < 1e-3
+
+
+def test_concurrent_builds_keep_their_own_precision():
+    # Thread A builds and predicts while thread B sits inside
+    # using_dtype(float64): a process-wide setting hands A a float64 model
+    # and, as the threads exit out of order, leaves the main thread in
+    # float32.
+    import threading
+
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+    built, errors = {}, []
+
+    def build(name):
+        bundle = ModelBundle("separator", build_separator(tiny_config(norm_kind="batch_norm"), rng=0))
+        with T.no_grad():
+            out = bundle.predict(np.ones((12, 16)), training=True)  # float64 features
+        built[name] = {str(out.dtype)} | {str(p.data.dtype) for _, p in bundle.named_parameters()} | \
+            {str(buf.dtype) for _, buf in bundle.named_buffers()}
+
+    def thread_a():
+        try:
+            with T.using_dtype(np.float32):
+                a_in.set()
+                assert b_in.wait(10)
+                build("a")
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+        finally:
+            a_done.set()
+
+    def thread_b():
+        try:
+            assert a_in.wait(10)
+            with T.using_dtype(np.float64):
+                b_in.set()
+                assert a_done.wait(10)
+                build("b")
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert T.Tensor([1.0]).dtype == np.float64  # the main thread's precision
+    assert built == {"a": {"float32"}, "b": {"float64"}}

@@ -112,7 +112,7 @@ def test_make_batch_matches_waveform_formula(dtype):
     with T.using_dtype(dtype):
         feats, mags = make_batch(pool, rng, 6)
     want_feats, want_mags = remix_oracle(clips, pool.sources, replay, 6)
-    assert feats.dtype == mags.dtype == dtype
+    assert feats.dtype == mags.dtype == np.float32
     assert np.max(np.abs(feats - want_feats)) <= 1e-6 * np.max(want_feats)
     assert np.max(np.abs(mags - want_mags)) <= 1e-6 * np.max(want_mags)
     assert rng.bit_generator.state == replay.bit_generator.state
@@ -249,6 +249,23 @@ def test_segment_songs_rejects_other_sample_rates(rates):
     tracks = [make_track(f"t{i}", 30.0, seed=i, sr=sr) for i, sr in enumerate(rates)]
     with pytest.raises(DataError):
         segment_songs(tracks, clip_seconds=5.0, val_ratio=0.0, sources=SYNTH_SOURCES)
+
+
+def test_segment_songs_holds_spectra_not_waveform_copies():
+    # Windows are views of the songs, so building the pool allocates little
+    # beyond the spectra it keeps (copied windows came to about 2.4x).
+    import tracemalloc
+
+    tracks = [make_track(f"t{i}", 10.0, channels=2, seed=i) for i in range(5)]
+    tracemalloc.start()
+    try:
+        pool, val = segment_songs(tracks, clip_seconds=5.0, val_ratio=0.2, sources=SYNTH_SOURCES)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    spectra_bytes = sum(x.nbytes for clips in pool.spectra.values() for x in clips)
+    assert (pool.counts()["noise"], len(val)) == (16, 4)
+    assert peak <= 1.25 * spectra_bytes, (peak, spectra_bytes)
 
 
 def test_split_is_deterministic_given_seed():
