@@ -98,11 +98,13 @@ def write_wav(path, clip: AudioClip, fmt: str = "float32") -> None:
     data = clip.data.T  # (samples, channels)
     if data.shape[1] == 1:
         data = data[:, 0]
+    # One C-order copy interleaves the channels; the writer takes it as is.
     if fmt == "float32":
-        wavfile.write(path, clip.sample_rate, data.astype(np.float32))
+        wavfile.write(path, clip.sample_rate, np.ascontiguousarray(data, dtype=np.float32))
     elif fmt == "pcm16":
         clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, clip.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
+        wavfile.write(path, clip.sample_rate,
+                      np.ascontiguousarray(np.round(clipped * 32768.0), dtype=np.int16))
     else:
         raise DataError(f"unknown WAV format {fmt!r}; expected float32 or pcm16")
 

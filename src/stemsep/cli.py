@@ -68,6 +68,23 @@ def _resolved(args) -> dict:
     return cfgmod.resolve(getattr(args, "config", None), _split_overrides(args.overrides))
 
 
+def _check_output(path, directory: bool = False) -> None:
+    """ConfigError unless ``path`` can be written as a file (or used as a
+    directory): it is not an existing directory (or file), and its nearest
+    existing ancestor is a directory. Verbs check before any work."""
+    path = Path(path)
+    if path.exists():
+        if path.is_dir() != directory:
+            kind = "not a directory" if directory else "a directory"
+            raise ConfigError(f"output path {path} is {kind}")
+        return
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise ConfigError(f"cannot create output path {path}: {parent} is not a directory")
+            return
+
+
 # ---------------------------------------------------------------------------
 # Verbs
 
@@ -102,6 +119,7 @@ def cmd_train(args) -> int:
     values = _resolved(args)
     sources = cfgmod.source_names(values)
     model_cfg = cfgmod.model_config(values)
+    _check_output(args.out)
     pool, val_windows = _train_windows(args.dataset, values, sources)
     mode = values["train.mode"]
     with using_dtype(values["train.dtype"]):
@@ -117,6 +135,7 @@ def cmd_train(args) -> int:
 def cmd_train_enhancer(args) -> int:
     values = _resolved(args)
     enh_cfg = cfgmod.enhancer_model_config(values)
+    _check_output(args.out)
     base = load_checkpoint(args.separator)
     if base.mode != "separator":
         raise CheckpointMismatchError(
@@ -135,6 +154,7 @@ def cmd_train_enhancer(args) -> int:
 
 def cmd_separate(args) -> int:
     values = _resolved(args)
+    _check_output(args.out_dir, directory=True)
     ckpt = load_checkpoint(args.checkpoint, expect_mode=args.mode)
     song = read_wav(args.input)
     stems = separate_song(bundle_from_checkpoint(ckpt), song,
@@ -148,6 +168,8 @@ def cmd_separate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     values = _resolved(args)
+    if args.out:
+        _check_output(args.out)
     model = None
     if args.checkpoint:
         model = bundle_from_checkpoint(load_checkpoint(args.checkpoint))
@@ -171,6 +193,7 @@ def cmd_dump_spec(args) -> int:
     if args.track_dir:
         if not args.out_dir:
             raise ConfigError("--out-dir is required with --track-dir")
+        _check_output(args.out_dir, directory=True)
         model = None
         if args.checkpoint:
             model = bundle_from_checkpoint(load_checkpoint(args.checkpoint))
@@ -182,6 +205,7 @@ def cmd_dump_spec(args) -> int:
             raise ConfigError("--input or --track-dir is required")
         if not args.out:
             raise ConfigError("--out is required when dumping a single file")
+        _check_output(args.out)
         dump_spectrogram(read_wav(args.input), args.out)
         log.info("wrote %s", args.out)
     return EXIT_OK

@@ -10,7 +10,10 @@ after that follows the dtype of its operands, so a model keeps the
 precision it was built in whichever thread runs it. Every operation
 executed while gradients are enabled appends its backward rule to the
 thread's tape; ``backward`` replays the tape in reverse order and
-accumulates gradients into each tensor that requires them.
+accumulates gradients into each tensor that requires them. A rule that
+makes a fresh gradient array (``leaky_relu``, the training loss) hands it
+over with ``hand_over_grad``: it becomes the input's gradient without a
+copy when the input has none yet, and is added to it otherwise.
 
 Broadcasting in binary operations is restricted to leading dimensions:
 the smaller operand's shape must equal the trailing suffix of the larger
@@ -36,6 +39,7 @@ __all__ = [
     "current_tape",
     "record_op",
     "accumulate_grad",
+    "hand_over_grad",
     "astensor",
     "add",
     "sub",
@@ -215,7 +219,8 @@ def record_op(out: Tensor, inputs: Sequence[Tensor], backward_rule: Callable[[np
     """Register ``out`` on the current tape if any input needs gradients.
 
     ``backward_rule`` receives the upstream gradient of ``out`` and must
-    push contributions into the inputs via ``accumulate_grad``. This is
+    push contributions into the inputs via ``accumulate_grad``, or
+    ``hand_over_grad`` for an array it has just made. This is
     the extension point used by the layer library for fused operations
     (convolutions, normalization) that bypass the elementwise ops.
     """
@@ -236,6 +241,15 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
+
+
+def hand_over_grad(t: Tensor, g: np.ndarray) -> None:
+    """``accumulate_grad`` for a fresh array that nothing else holds: when
+    ``t`` has no gradient yet, ``g`` becomes it without a copy."""
+    if t.requires_grad and t.grad is None and g.dtype == t.data.dtype and g.shape == t.data.shape:
+        t.grad = g
+    else:
+        accumulate_grad(t, g)
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +307,21 @@ def mul(a, b) -> Tensor:
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def _unary(x, fwd, make_bwd) -> Tensor:
-    x = astensor(x)
-    out_data = fwd(x.data)
-    out = Tensor._wrap(out_data)
-    bwd = make_bwd(x.data, out_data)
-
-    def backward_rule(g):
-        accumulate_grad(x, bwd(g))
-
-    return record_op(out, (x,), backward_rule)
+def _leaky(a: np.ndarray, mask: np.ndarray, slope: float) -> np.ndarray:
+    # ``np.where(mask, a, a * slope)`` with one fresh array and no temporary.
+    res = np.multiply(a, slope, out=np.empty_like(a))
+    np.copyto(res, a, where=mask)
+    return res
 
 
 def leaky_relu(x, slope: float = 0.01) -> Tensor:
-    def fwd(xd):
-        return np.where(xd >= 0, xd, slope * xd)
+    x = astensor(x)
+    out = Tensor._wrap(_leaky(x.data, x.data >= 0, slope))
 
-    return _unary(x, fwd, lambda xd, od: lambda g: np.where(xd >= 0, g, g * slope))
+    def backward_rule(g):
+        hand_over_grad(x, _leaky(g, x.data >= 0, slope))
+
+    return record_op(out, (x,), backward_rule)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,11 @@ from .tensor import (
     astensor,
     backward,
     current_tape,
-    mul,
+    hand_over_grad,
     no_grad,
+    record_op,
     reduce_mean,
-    reshape,
     stack,
-    sub,
 )
 
 log = logging.getLogger(__name__)
@@ -163,10 +162,25 @@ def clip_spectrum(clip: AudioClip) -> np.ndarray:
     return np.array(dsp.stft(clip.channel(0)).data, dtype=np.complex64, order="C")
 
 
-def spectral_features(spectra: np.ndarray):
-    """Mixture features log(1 + |sum_s X_s|) (..., F, T) and target
-    magnitudes |X_s| (..., S, F, T) from source spectra (..., S, F, T)."""
-    return np.log1p(np.abs(spectra.sum(axis=-3))), np.abs(spectra)
+def spectral_features(chosen):
+    """Mixture features log(1 + |sum_s X_s|) (B, F, T) and target
+    magnitudes |X_s| (B, S, F, T) from B sequences of S complex (F, T)
+    source spectra. Each mixture is summed in source order in one reused
+    (F, T) buffer, and each magnitude is written into its slot; no
+    (B, S, F, T) complex copy is made."""
+    first = chosen[0][0]
+    mags = np.empty((len(chosen), len(chosen[0])) + first.shape, dtype=first.real.dtype)
+    feats = np.empty((len(chosen),) + first.shape, dtype=first.real.dtype)
+    mix = np.empty_like(first)
+    for b, spectra in enumerate(chosen):
+        np.copyto(mix, spectra[0])
+        for s, spectrum in enumerate(spectra):
+            if s:
+                mix += spectrum
+            np.abs(spectrum, out=mags[b, s])
+        np.abs(mix, out=feats[b])
+    np.log1p(feats, out=feats)
+    return feats, mags
 
 
 def make_batch(pool: SourcePool, rng: np.random.Generator, batch_size: int):
@@ -176,13 +190,16 @@ def make_batch(pool: SourcePool, rng: np.random.Generator, batch_size: int):
     chosen = [[pool.spectra[name][int(rng.integers(len(pool.spectra[name])))]
                for name in pool.sources]
               for _ in range(batch_size)]
-    return spectral_features(np.array(chosen))
+    return spectral_features(chosen)
 
 
 def validation_arrays(val_windows, sources):
     """Fixed (non-augmented) validation features/targets, one per window."""
-    return [spectral_features(np.stack([clip_spectrum(window[name]) for name in sources]))
-            for window in val_windows]
+    pairs = []
+    for window in val_windows:
+        feats, mags = spectral_features([[clip_spectrum(window[name]) for name in sources]])
+        pairs.append((feats[0], mags[0]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +211,27 @@ def mse_loss(pred: Tensor, target_mags) -> Tensor:
 
     The normalizer is the full element count (batch * sources * bins *
     frames); targets arrive as raw magnitudes and are mapped through
-    log1p here.
+    log1p here. The loss is one tape op that keeps only the difference
+    for its backward, and its gradient, 2 * diff * (g / count), is handed
+    to ``pred`` without a copy; value and gradient equal those of the
+    composite reshape, sub, mul, reduce_mean chain bit for bit.
     """
     pred = astensor(pred)
     target = np.asarray(target_mags, dtype=pred.data.dtype)
     if pred.data.size != target.size:
         raise ShapeError(f"prediction {pred.data.shape} does not match targets {target.shape}")
-    if pred.data.shape != target.shape:
-        pred = reshape(pred, target.shape)
-    diff = sub(pred, astensor(np.log1p(target), like=pred))
-    return reduce_mean(mul(diff, diff))
+    diff = np.log1p(target)
+    np.subtract(pred.data.reshape(target.shape), diff, out=diff)
+    axes = tuple(range(diff.ndim))
+    out = Tensor._wrap((diff * diff).mean(axis=axes))
+
+    def backward_rule(g):
+        # The scale takes diff's dtype, so a float32 loss multiplies in float32.
+        d = diff * (g / diff.size).astype(diff.dtype)
+        d += d
+        hand_over_grad(pred, d.reshape(pred.data.shape))
+
+    return record_op(out, (pred,), backward_rule)
 
 
 # ---------------------------------------------------------------------------

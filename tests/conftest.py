@@ -18,6 +18,12 @@ def rng_for(name: str) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(name.encode("utf-8")))
 
 
+def bits(a) -> np.ndarray:
+    """The raw bit patterns of a float array or scalar: tells -0.0 from +0.0."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
 def tiny_config(skip_kind="gru", recurrence="skips", norm_kind="weight_norm",
                 freq_bins=12, source_count=2, residual=False) -> ModelConfig:
     """A miniature separator: enough structure for every variant, small

@@ -1,13 +1,29 @@
 """Autodiff ops that only the tests compose: the rank-2 matrix product,
 tanh, sigmoid, axis permutation and summation. The reference GRU in
 ``gru_oracle`` and the engine's own tests build on them; the package's
-layers do this work in fused tape ops instead."""
+layers do this work in fused tape ops instead.
+
+Also the former bodies of two engine paths, kept as oracles for their
+replacements: the composite ``mse_loss`` chain, and ``leaky_relu`` on
+``np.where`` with a copied gradient."""
 
 import numpy as np
 
 from stemsep.errors import ShapeError
-from stemsep.tensor import (Tensor, _expand_reduced, _normalize_axes, _unary, accumulate_grad,
-                            astensor, record_op)
+from stemsep.tensor import (Tensor, _expand_reduced, _normalize_axes, accumulate_grad, astensor,
+                            mul, record_op, reduce_mean, reshape, sub)
+
+
+def _unary(x, fwd, make_bwd) -> Tensor:
+    x = astensor(x)
+    out_data = fwd(x.data)
+    out = Tensor._wrap(out_data)
+    bwd = make_bwd(x.data, out_data)
+
+    def backward_rule(g):
+        accumulate_grad(x, bwd(g))
+
+    return record_op(out, (x,), backward_rule)
 
 
 def tanh(x) -> Tensor:
@@ -67,3 +83,21 @@ def transpose(x, axes=None) -> Tensor:
         accumulate_grad(x, np.ascontiguousarray(g.transpose(inverse)))
 
     return record_op(out, (x,), backward_rule)
+
+
+def mse_loss_chain(pred, target_mags) -> Tensor:
+    """``training.mse_loss`` as four tape ops: reshape, sub, mul, reduce_mean."""
+    pred = astensor(pred)
+    target = np.asarray(target_mags, dtype=pred.data.dtype)
+    if pred.data.size != target.size:
+        raise ShapeError(f"prediction {pred.data.shape} does not match targets {target.shape}")
+    if pred.data.shape != target.shape:
+        pred = reshape(pred, target.shape)
+    diff = sub(pred, astensor(np.log1p(target), like=pred))
+    return reduce_mean(mul(diff, diff))
+
+
+def leaky_relu_where(x, slope: float = 0.01) -> Tensor:
+    return _unary(x, lambda xd: np.where(xd >= 0, xd, slope * xd),
+                  lambda xd, od: lambda g: np.where(xd >= 0, g, g * slope))
+

@@ -40,6 +40,29 @@ def test_float32_file_roundtrip_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def transposed_writer(path, clip, fmt):
+    """The former writer: a (samples, channels) cast that keeps the
+    transposed layout, which scipy then interleaves with a second copy."""
+    data = clip.data.T
+    if data.shape[1] == 1:
+        data = data[:, 0]
+    if fmt == "float32":
+        wavfile.write(path, clip.sample_rate, data.astype(np.float32))
+    else:
+        clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
+        wavfile.write(path, clip.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
+
+
+@pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_write_wav_bytes_equal_the_transposed_writer(tmp_path, channels, fmt):
+    samples = 0.6 * rng_for(f"writer-{channels}-{fmt}").normal(size=(channels, 3001))
+    clip = AudioClip(samples, 22050)
+    write_wav(tmp_path / "new.wav", clip, fmt=fmt)
+    transposed_writer(tmp_path / "old.wav", clip, fmt)
+    assert (tmp_path / "new.wav").read_bytes() == (tmp_path / "old.wav").read_bytes()
+
+
 def test_pcm16_roundtrip_within_quantization(tmp_path):
     samples = 0.7 * np.sin(np.linspace(0, 40 * np.pi, 8000))
     path = tmp_path / "p.wav"

@@ -9,6 +9,7 @@ import pytest
 from stemsep import dsp
 from stemsep import tensor as T
 from stemsep.audio_io import SOURCES, AudioClip, read_wav, write_wav
+from stemsep import cli
 from stemsep.checkpoint import load_checkpoint, make_checkpoint, save_checkpoint
 from stemsep.cli import main
 from stemsep.config import load_config_file, resolve
@@ -240,6 +241,60 @@ def test_dump_spec_missing_argument_is_config_error(tmp_path, caplog, flag):
     assert main(["dump-spec", flag, str(value)]) == EXIT_CONFIG
     assert "is required" in caplog.text
     assert not (tmp_path / "spec.txt").exists()
+
+
+def _verb_argv(tmp_path, verb, out):
+    """Usable inputs for ``verb``, writing to ``out``."""
+    if verb in ("train", "train-enhancer"):
+        make_dataset(tmp_path / "data", split="train", tracks=("one", "two"), seconds=0.35)
+        argv = [verb, "--dataset", str(tmp_path / "data"), "--out", str(out), *TRAIN_ARGS,
+                "--train.max_epochs", "1"]
+        return argv + (["--separator", str(small_checkpoint(tmp_path))]
+                       if verb == "train-enhancer" else [])
+    if verb == "separate":
+        write_wav(tmp_path / "song.wav", AudioClip(np.zeros((2, 22050))), fmt="float32")
+        return ["separate", "--checkpoint", str(small_checkpoint(tmp_path)),
+                "--input", str(tmp_path / "song.wav"), "--out-dir", str(out)]
+    if verb == "evaluate":
+        make_dataset(tmp_path / "data", split="test", tracks=("alpha",), seconds=0.3)
+        return ["evaluate", "--dataset", str(tmp_path / "data"),
+                "--checkpoint", str(small_checkpoint(tmp_path)), "--out", str(out)]
+    if verb == "dump-spec":
+        write_wav(tmp_path / "clip.wav", AudioClip(np.zeros(3 * dsp.WINDOW_SIZE)), fmt="float32")
+        return ["dump-spec", "--input", str(tmp_path / "clip.wav"), "--out", str(out)]
+    make_dataset(tmp_path / "data", split="test", tracks=("alpha",), seconds=0.2)
+    return ["dump-spec", "--track-dir", str(tmp_path / "data" / "test" / "alpha"),
+            "--out-dir", str(out)]
+
+
+DIRECTORY_OUTPUTS = ("separate", "dump-spec-grid")
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "wrong-kind"])
+@pytest.mark.parametrize("verb", ["train", "train-enhancer", "separate", "evaluate",
+                                  "dump-spec", "dump-spec-grid"])
+def test_unusable_output_path_is_config_error_before_any_work(tmp_path, caplog, monkeypatch,
+                                                              verb, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    if where == "under-a-file":
+        out = blocker / "out"
+    elif verb in DIRECTORY_OUTPUTS:
+        out = blocker
+    else:
+        out = tmp_path / "existing-directory"
+        out.mkdir()
+    argv = _verb_argv(tmp_path, verb, out)
+    calls = []
+    for name in ("load_split", "load_track", "read_wav", "load_checkpoint", "evaluate"):
+        def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    assert main(argv) == EXIT_CONFIG
+    assert calls == []
+    assert str(out) in caplog.text
+    assert blocker.read_text() == "not a directory"
 
 
 def test_inspect_checkpoint(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rng_for
-from engine_ops import matmul, reduce_sum, sigmoid, tanh, transpose
+from conftest import bits, rng_for
+from engine_ops import leaky_relu_where, matmul, reduce_sum, sigmoid, tanh, transpose
 from stemsep import tensor as T
 from stemsep.errors import ShapeError
 
@@ -68,6 +68,76 @@ def test_leaky_relu_backward_keeps_input_dtype(dtype):
     assert np.array_equal(t.grad[~neg], probe[~neg])
     if dtype == np.float64:
         assert np.array_equal(t.grad, probe * np.where(x >= 0, 1.0, 0.01))
+
+
+SIGNED = np.array([-2.5, -1e-30, -0.0, 0.0, 1e-30, 3.0])
+
+
+def _input_and_probes(name, dtype):
+    rng = rng_for(name)
+    x = np.concatenate([SIGNED, SIGNED[::-1], rng.normal(size=52)]).reshape(8, 8)
+    probes = [np.concatenate([SIGNED[::-1], SIGNED, rng.normal(size=52)]).reshape(8, 8)
+              for _ in range(2)]
+    return x.astype(dtype), [p.astype(dtype) for p in probes]
+
+
+@pytest.mark.parametrize("consumers", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_bit_equal_to_where_formula(dtype, consumers):
+    # Upstream gradients hold +-0 and negatives; with two consumers the
+    # second backward adds into the gradient the first handed over.
+    x, probes = _input_and_probes("leaky-bits", dtype)
+
+    def run(op):
+        with T.using_dtype(dtype):
+            t = T.Tensor(x, requires_grad=True)
+            outs = [op(t, 0.01) for _ in range(consumers)]
+            terms = [reduce_sum(T.mul(o, T.Tensor(p))) for o, p in zip(outs, probes)]
+            T.backward(terms[0] if consumers == 1 else T.add(*terms))
+        return outs[0].data, t.grad
+
+    out, grad = run(T.leaky_relu)
+    want_out, want_grad = run(leaky_relu_where)
+    assert out.dtype == grad.dtype == dtype
+    assert np.array_equal(bits(out), bits(want_out))
+    assert np.array_equal(bits(grad), bits(want_grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slice_axis_backward_adds_into_zeros(dtype):
+    # Adding, not writing, into the zeroed gradient turns -0.0 into +0.0;
+    # a second, overlapping slice adds to the first.
+    x, probes = _input_and_probes("slice-bits", dtype)
+    with T.using_dtype(dtype):
+        t = T.Tensor(x, requires_grad=True)
+        first = T.slice_axis(t, 1, 2, 6)
+        second = T.slice_axis(t, 1, 0, 5)
+        T.backward(T.add(reduce_sum(T.mul(first, T.Tensor(probes[0][:, 2:6]))),
+                         reduce_sum(T.mul(second, T.Tensor(probes[1][:, :5])))))
+    want = np.zeros_like(x)
+    want[:, :5] += probes[1][:, :5]
+    want[:, 2:6] += probes[0][:, 2:6]
+    assert t.grad.dtype == dtype
+    assert np.array_equal(bits(t.grad), bits(want))
+    assert np.signbit(probes[0][0, 3]) and np.signbit(probes[1][0, 3])
+    assert not np.signbit(t.grad[0, 3])
+
+
+def test_hand_over_grad_keeps_a_fresh_array_and_adds_the_next():
+    t = T.Tensor(np.zeros(3), requires_grad=True)
+    fresh = np.ones(3)
+    T.hand_over_grad(t, fresh)
+    assert t.grad is fresh
+    T.hand_over_grad(t, np.full(3, 2.0))
+    assert t.grad is fresh and np.array_equal(fresh, np.full(3, 3.0))
+    cast = T.Tensor(np.zeros(3), requires_grad=True)
+    T.hand_over_grad(cast, np.ones(3, dtype=np.float32))
+    assert cast.grad.dtype == np.float64
+    constant = T.Tensor(np.zeros(3))
+    T.hand_over_grad(constant, np.ones(3))
+    assert constant.grad is None
+    with pytest.raises(ShapeError):
+        T.hand_over_grad(T.Tensor(np.zeros(2), requires_grad=True), np.ones(3))
 
 
 def test_add_broadcasts_trailing_suffix():

@@ -1,18 +1,29 @@
-"""Augmentation against the waveform remix formula, segmentation, the MSE
-loss against a quadruple-loop oracle, and training-loop behavior
+"""Augmentation against the waveform remix formula and the stacked-spectra
+formula, segmentation, the MSE loss against a quadruple-loop oracle and
+the composite tape chain it replaced, and training-loop behavior
 (reproducibility, descent, early stopping bookkeeping, residual loss
 averaging, enhancer freezing)."""
 
 import numpy as np
 import pytest
 
-from conftest import SYNTH_SOURCES, rng_for, tiny_config
+from conftest import SYNTH_SOURCES, bits, rng_for, tiny_config
+from engine_ops import mse_loss_chain
 from stemsep import dsp
+from stemsep import training
 from stemsep import tensor as T
 from stemsep.audio_io import AudioClip, Track
 from stemsep.checkpoint import parameter_fingerprint
 from stemsep.errors import ConfigError, DataError, DivergenceError
-from stemsep.models import ModelBundle, ResidualConfig, build_separator, collect_state, restore_state
+from stemsep.models import (
+    ModelBundle,
+    ResidualConfig,
+    build_enhancer,
+    build_separator,
+    collect_state,
+    enhancer_config,
+    restore_state,
+)
 from stemsep.optim import build_optimizer
 from stemsep.training import (
     SourcePool,
@@ -88,6 +99,44 @@ def test_mse_gradient():
     assert T.gradient_check(lambda p: mse_loss(p, target), pred, eps=1e-5) < 1e-6
 
 
+def _loss_and_grad(loss_fn, pred, targets):
+    """Each target's loss on one prediction, averaged as residual mode
+    averages its iterations; with two targets the second loss's backward
+    hands ``pred`` its gradient and the first one adds to it."""
+    p = T.Tensor(pred, requires_grad=True)
+    losses = [loss_fn(p, target) for target in targets]
+    loss = losses[0] if len(losses) == 1 else T.reduce_mean(T.stack(losses))
+    T.backward(loss)
+    return loss.data, p.grad
+
+
+@pytest.mark.parametrize("case", ["batched", "same-shape", "consumed-twice"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mse_loss_bit_equal_to_composite_chain(dtype, case):
+    rng = rng_for("mse-chain-" + case)
+    targets = [np.abs(rng.normal(size=(3, 2, 7, 5)))
+               for _ in range(2 if case == "consumed-twice" else 1)]
+    targets[0][0, 0, :2] = 0.0  # log1p(0) = 0 meets a -0.0 prediction: diff is -0.0
+    pred = rng.normal(size=(3, 2, 7, 5)) if case == "same-shape" else rng.normal(size=(3, 14, 5))
+    pred.reshape(-1)[:2] = -0.0
+    with T.using_dtype(dtype):
+        loss, grad = _loss_and_grad(mse_loss, pred, targets)
+        want_loss, want_grad = _loss_and_grad(mse_loss_chain, pred, targets)
+    assert grad.dtype == dtype and grad.shape == pred.shape
+    assert np.array_equal(bits(loss), bits(want_loss))
+    assert np.array_equal(bits(grad), bits(want_grad))
+
+
+def test_mse_loss_is_one_tape_op():
+    target = np.abs(rng_for("mse-one-op").normal(size=(2, 2, 3, 4)))
+    for shape in [(2, 6, 4), (2, 2, 3, 4)]:
+        pred = T.Tensor(np.zeros(shape), requires_grad=True)
+        before = len(T.current_tape())
+        mse_loss(pred, target)
+        assert len(T.current_tape()) == before + 1
+        T.current_tape().clear()
+
+
 # ---------------------------------------------------------------------------
 # Augmentation
 
@@ -116,6 +165,33 @@ def test_make_batch_matches_waveform_formula(dtype):
     assert np.max(np.abs(feats - want_feats)) <= 1e-6 * np.max(want_feats)
     assert np.max(np.abs(mags - want_mags)) <= 1e-6 * np.max(want_mags)
     assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def stacked_spectra_formula(chosen):
+    """The batch formula on one stacked (B, S, F, T) complex copy."""
+    spectra = np.array(chosen)
+    return np.log1p(np.abs(spectra.sum(axis=-3))), np.abs(spectra)
+
+
+@pytest.mark.parametrize("n_sources", [2, 4])
+def test_make_batch_bit_equal_to_stacked_formula(n_sources):
+    pool, _ = tiny_pool(n_clips=3, seed=29, sources=("a", "b", "c", "d")[:n_sources])
+    rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+    feats, mags = make_batch(pool, rng, 5)
+    chosen = [[pool.spectra[name][int(replay.integers(len(pool.spectra[name])))]
+               for name in pool.sources] for _ in range(5)]
+    want_feats, want_mags = stacked_spectra_formula(chosen)
+    assert feats.dtype == want_feats.dtype and mags.dtype == want_mags.dtype
+    assert np.array_equal(bits(feats), bits(want_feats))
+    assert np.array_equal(bits(mags), bits(want_mags))
+    assert rng.bit_generator.state == replay.bit_generator.state
+    _, clips = tiny_pool(n_clips=2, seed=31, sources=pool.sources)
+    windows = [{name: clips[name][k] for name in pool.sources} for k in range(2)]
+    for (f, m), window in zip(validation_arrays(windows, pool.sources), windows):
+        want_f, want_m = stacked_spectra_formula(
+            [[clip_spectrum(window[name]) for name in pool.sources]])
+        assert np.array_equal(bits(f), bits(want_f[0]))
+        assert np.array_equal(bits(m), bits(want_m[0]))
 
 
 def test_validation_arrays_match_waveform_formula():
@@ -301,7 +377,11 @@ def small_bundle(mode="separator", seed=0, skip_kind="identity"):
                       residual=(mode == "residual"))
     sep = build_separator(cfg, rng=seed)
     residual = ResidualConfig(3) if mode == "residual" else None
-    return ModelBundle(mode, sep, residual=residual, sources=("a", "b"))
+    enhancers = None
+    if mode == "enhancer":
+        enh_cfg = enhancer_config(freq_bins=dsp.FREQ_BINS, channels=(8, 6, 4), kernels=(3, 3, 2))
+        enhancers = [build_enhancer(enh_cfg, rng=seed + 1 + s) for s in range(2)]
+    return ModelBundle(mode, sep, residual=residual, enhancers=enhancers, sources=("a", "b"))
 
 
 def test_training_step_is_bit_reproducible():
@@ -319,6 +399,24 @@ def test_training_step_is_bit_reproducible():
         return losses
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("mode", ["separator", "residual", "enhancer"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_steps_with_chain_loss_give_equal_fingerprints(monkeypatch, dtype, mode):
+    def run():
+        with T.using_dtype(dtype):
+            pool, _ = spectral_pool_and_val(seed=17)
+            bundle = small_bundle(mode=mode, seed=4, skip_kind="gru")
+            conv, gru = bundle.trainable_groups()
+            opt = build_optimizer(conv, gru, 1e-3, 1e-4)
+            rng = np.random.default_rng(6)
+            losses = [training_step(bundle, opt, *make_batch(pool, rng, 2)) for _ in range(3)]
+        return [(r.loss, r.per_iteration) for r in losses], parameter_fingerprint(bundle)
+
+    fused = run()
+    monkeypatch.setattr(training, "mse_loss", mse_loss_chain)
+    assert run() == fused
 
 
 def test_one_step_descends_with_backtracking():
@@ -360,16 +458,10 @@ def test_residual_training_loss_is_mean_of_iteration_losses():
 
 
 def test_enhancer_training_leaves_separator_untouched():
-    from stemsep.models import build_enhancer, enhancer_config
     with T.using_dtype(np.float32):
         pool, val = spectral_pool_and_val(seed=13)
-        sep = build_separator(tiny_config(skip_kind="identity", freq_bins=dsp.FREQ_BINS,
-                                          source_count=2), rng=1)
-        enh_cfg = enhancer_config(freq_bins=dsp.FREQ_BINS, channels=(8, 6, 4),
-                                  kernels=(3, 3, 2))
-        bundle = ModelBundle("enhancer", sep,
-                             enhancers=[build_enhancer(enh_cfg, rng=2 + s) for s in range(2)],
-                             sources=("a", "b"))
+        bundle = small_bundle(mode="enhancer", seed=1)
+        sep = bundle.separator
         before = parameter_fingerprint(sep)
         cfg = TrainConfig(batch_size=2, max_epochs=2, epoch_batches=3, patience=2, seed=5)
         train(bundle, pool, val, cfg)
