@@ -159,12 +159,6 @@ def log1p_magnitude(spec: ComplexSpectrogram) -> np.ndarray:
     return np.log1p(np.abs(spec.data))
 
 
-def magnitude_from_features(features: np.ndarray) -> np.ndarray:
-    """Invert the feature map back to magnitudes, clipping the negative
-    excursions a leaky output nonlinearity can produce."""
-    return np.maximum(np.expm1(features), 0.0)
-
-
 def masked_frames(source_mags: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:
     """Power-ratio soft masks of (S, F, t) source magnitudes applied to the
     frame-major (t, F) mixture frames: (S, t, F) complex.
@@ -204,7 +198,7 @@ def wiener_synthesis(source_features: np.ndarray, mixture: ComplexSpectrogram,
     (S, length).
 
     Bit-identical to ``istft`` of each of ``wiener_masks(np.maximum(
-    magnitude_from_features(source_features), MASK_MAG_FLOOR), mixture)``,
+    np.maximum(np.expm1(source_features), 0), MASK_MAG_FLOOR), mixture)``,
     but only one block of masks and masked frames exists at a time.
     """
     if source_features.shape[1:] != mixture.data.shape:

@@ -118,17 +118,20 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
     return record_op(out, (x, weight, bias), backward_rule)
 
 
-def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
+                     length: int | None = None) -> Tensor:
     """Gradient-of-convolution semantics: output time = (T - 1) * stride + K,
-    with overlapping contributions summed.
+    with overlapping contributions summed; ``length`` keeps the first frames.
 
     Output phase p (frames p, p + stride, ...) sees only taps p, p + stride,
     ..., so it is a stride-1 convolution of the input with those Q_p taps
     reversed: one GEMM over the last Q_p blocks of the input's
-    Q = ceil(K / stride) stride-1 taps (padded by Q - 1 frames), written
-    into ``out[:, :, p::stride]``. Phases p >= K hold only the bias. The
-    backward splits the same way and sums the phases' input-side products
-    into one tap buffer for ``_scatter_taps``.
+    Q = ceil(K / stride) stride-1 taps (padded by Q - 1 frames), whose
+    frames below ``length`` go into ``out[:, :, p::stride]``. Phases p >= K
+    hold only the bias. The backward splits the same way, with a zero
+    gradient past ``length``, and sums the phases' input-side products into
+    one tap buffer for ``_scatter_taps``. The GEMMs keep their full width,
+    so the kept frames, dx and dW equal the full op's bit for bit.
     """
     x = _batched(x)
     xb = x.data
@@ -137,23 +140,27 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor
         raise ShapeError(f"conv_transpose1d: input has {xb.shape[1]} channels, weight expects {c_in}")
     b, _, t = xb.shape
     t_out = (t - 1) * stride + kernel
+    if length is not None and not 1 <= length <= t_out:
+        raise ShapeError(f"conv_transpose1d: length {length} outside 1..{t_out}")
+    t_out = t_out if length is None else length
     q = -(-kernel // stride)
     pad = q - 1
     padded = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
     cols = _gather_taps(padded, q, 1, t + pad)                          # (B, Q*C_in, T+Q-1)
 
-    # phases[p] = (first tap row of cols, frame count, W_p (C_out, Q_p*C_in))
+    # phases[p] = (first tap row of cols, frame count, frames kept, W_p (C_out, Q_p*C_in))
     phases = []
     for p in range(min(stride, kernel)):
         taps = weight.data[:, :, p::stride][:, :, ::-1]                  # (C_out, C_in, Q_p)
         q_p = taps.shape[2]
-        phases.append(((q - q_p) * c_in, t + q_p - 1,
+        phases.append(((q - q_p) * c_in, t + q_p - 1, len(range(p, t_out, stride)),
                        taps.transpose(0, 2, 1).reshape(c_out, q_p * c_in)))
 
     out_data = np.empty((b, c_out, t_out), dtype=np.result_type(xb, weight.data))
     bias_col = bias.data[:, None]
-    for p, (row, frames, w_p) in enumerate(phases):
-        np.add(w_p @ cols[:, row:, :frames], bias_col, out=out_data[:, :, p::stride])
+    for p, (row, frames, kept, w_p) in enumerate(phases):
+        np.add((w_p @ cols[:, row:, :frames])[:, :, :kept], bias_col,
+               out=out_data[:, :, p::stride])
     for p in range(kernel, stride):
         out_data[:, :, p::stride] = bias_col
     out = Tensor._wrap(out_data)
@@ -161,11 +168,12 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1) -> Tensor
     def backward_rule(g):
         dw = np.empty_like(weight.data)
         dcols = np.zeros_like(cols) if x.requires_grad else None
-        for p, (row, frames, w_p) in enumerate(phases):
+        for p, (row, frames, kept, w_p) in enumerate(phases):
             dw_p = np.zeros_like(w_p)
+            g_p = np.zeros((c_out, frames), dtype=g.dtype)              # zero past ``kept``
             # Per batch item, so each de-interleaved gradient copy stays cache-sized.
             for i in range(b):
-                g_p = np.ascontiguousarray(g[i, :, p::stride])           # (C_out, frames)
+                g_p[:, :kept] = g[i, :, p::stride]
                 dw_p += g_p @ cols[i, row:, :frames].T
                 if dcols is not None:
                     dcols[i, row:, :frames] += w_p.T @ g_p
@@ -283,7 +291,9 @@ class BatchNorm1d:
 
 class Conv1d:
     """Convolution (or transposed convolution) layer with selectable
-    normalization. Activation is applied by the model, not here."""
+    normalization. Activation is applied by the model, not here. A
+    convolution gives 1 + ceil(max(T + pl + pr - K, 0) / stride) frames; a
+    transposed one, the ``length`` its mirrored convolution consumed."""
 
     group = "conv"  # optimizer group of every parameter, batch norm's included
 
@@ -320,12 +330,18 @@ class Conv1d:
             return weight_normalized(self.weight, self.weight_g)
         return self.weight
 
-    def __call__(self, x, training: bool = False) -> Tensor:
+    def __call__(self, x, training: bool = False, length: int | None = None) -> Tensor:
+        x = astensor(x)
         w = self.effective_weight()
         if self.transposed:
-            out = conv_transpose1d(x, w, self.bias, stride=self.stride)
+            out = conv_transpose1d(x, w, self.bias, stride=self.stride, length=length)
         else:
-            out = conv1d(x, w, self.bias, stride=self.stride, padding=self.padding)
+            # A tail frame the strided walk skipped is one the mirrored decoder
+            # could never predict, so zero-pad the right edge until it is covered.
+            pl, pr = self.padding
+            over = x.data.shape[-1] + pl + pr - self.kernel_size
+            extra = -over if over < 0 else -over % self.stride
+            out = conv1d(x, w, self.bias, stride=self.stride, padding=(pl, pr + extra))
         if self.bn is not None:
             out = self.bn(out, training)
         return out

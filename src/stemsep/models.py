@@ -7,9 +7,10 @@ Skip connections tap the first and second encoder layer outputs and are
 added to the inputs of the mirrored decoder layers after an optional
 transform (identity, a 1x1 convolution layer, or a GRU whose hidden size
 equals the skip's channel count). The ``after_tconv4`` recurrence variant
-instead threads the first decoder layer's output through a GRU. Decoder
-outputs are cropped or zero-padded at the tail to mirror the encoder
-lengths exactly, so any input length works and skip shapes always match.
+instead threads the first decoder layer's output through a GRU. The
+convolution layers own the time lengths: an encoder layer right-pads until
+its strided walk covers the last frame, and its mirrored decoder layer
+returns exactly the length it consumed, so any input length works.
 
 One walk, ``modules()``, yields every parameterised layer with its name
 prefix; parameter and buffer traversal, checkpoint state and optimizer
@@ -34,7 +35,6 @@ from .tensor import (
     leaky_relu,
     no_grad,
     reshape,
-    slice_axis,
 )
 
 SKIP_KINDS = ("none", "identity", "conv", "gru")
@@ -53,8 +53,9 @@ class ModelConfig:
 
     ``encoder_specs`` and ``decoder_specs`` are three (out_channels,
     kernel, stride) tuples each; the decoder must mirror the encoder's
-    channel counts so skip additions type-check, and its final layer
-    emits ``source_count * freq_bins`` channels.
+    channel counts so skip additions type-check and its kernels and strides
+    in reverse order so lengths do too; its final layer emits
+    ``source_count * freq_bins`` channels.
     """
 
     encoder_specs: tuple
@@ -93,6 +94,10 @@ class ModelConfig:
             raise ConfigError(
                 f"decoder layer 2 emits {self.decoder_specs[1][0]} channels but the skip from "
                 f"encoder layer 1 carries {self.encoder_specs[0][0]}; they must match")
+        for i, (dec, enc) in enumerate(zip(self.decoder_specs, reversed(self.encoder_specs))):
+            if tuple(dec[1:]) != tuple(enc[1:]):
+                raise ConfigError(f"decoder layer {i + 1} has kernel, stride {tuple(dec[1:])}; "
+                                  f"it must mirror encoder layer {3 - i}'s {tuple(enc[1:])}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -150,17 +155,6 @@ class ResidualConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"residual iterations must be >= 1, got {self.iterations}")
-
-
-def _fit_time(x: Tensor, length: int) -> Tensor:
-    """Crop or zero-pad the tail of the time axis to an exact length."""
-    t = x.data.shape[-1]
-    if t == length:
-        return x
-    if t > length:
-        return slice_axis(x, x.data.ndim - 1, 0, length)
-    pad_shape = x.data.shape[:-1] + (length - t,)
-    return concat([x, astensor(np.zeros(pad_shape, dtype=x.data.dtype))], axis=x.data.ndim - 1)
 
 
 class Separator:
@@ -224,29 +218,17 @@ class Separator:
         taps = []
         h = x
         for layer in self.encoder:
-            t = h.data.shape[-1]
-            lengths.append(t)
-            # Right-pad so the strided window walk never drops tail samples;
-            # otherwise the mirrored decoder would have to zero-fill a frame
-            # it can never predict. The decoder crops back to the recorded
-            # true lengths, so T is preserved end to end.
-            k_eff = layer.kernel_size - sum(layer.padding)
-            if t <= k_eff:
-                t_pad = k_eff
-            else:
-                t_pad = k_eff + -(-(t - k_eff) // layer.stride) * layer.stride
-            if t_pad != t:
-                h = _fit_time(h, t_pad)
+            lengths.append(h.data.shape[-1])
             h = leaky_relu(layer(h, training), slope)
             taps.append(h)
 
-        h = leaky_relu(_fit_time(self.decoder[0](h, training), lengths[2]), slope)
+        h = leaky_relu(self.decoder[0](h, training, lengths[2]), slope)
         if self.post_gru is not None:
             h = self.post_gru(h)
         h = self._merge_skip(h, taps[1], self.skips[1], training)
-        h = leaky_relu(_fit_time(self.decoder[1](h, training), lengths[1]), slope)
+        h = leaky_relu(self.decoder[1](h, training, lengths[1]), slope)
         h = self._merge_skip(h, taps[0], self.skips[0], training)
-        h = leaky_relu(_fit_time(self.decoder[2](h, training), lengths[0]), slope)
+        h = leaky_relu(self.decoder[2](h, training, lengths[0]), slope)
 
         return reshape(h, h.data.shape[1:]) if squeeze else h
 

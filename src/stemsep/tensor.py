@@ -15,10 +15,8 @@ makes a fresh gradient array (``leaky_relu``, the training loss) hands it
 over with ``hand_over_grad``: it becomes the input's gradient without a
 copy when the input has none yet, and is added to it otherwise.
 
-Broadcasting in binary operations is restricted to leading dimensions:
-the smaller operand's shape must equal the trailing suffix of the larger
-one (a scalar broadcasts against anything). Layer code passes explicit
-shapes everywhere else.
+The engine holds only the ops the package runs; its one binary op,
+``add``, sums two tensors of one shape.
 """
 
 from __future__ import annotations
@@ -42,14 +40,11 @@ __all__ = [
     "hand_over_grad",
     "astensor",
     "add",
-    "sub",
-    "mul",
     "leaky_relu",
     "reduce_mean",
     "reshape",
     "concat",
     "stack",
-    "slice_axis",
     "backward",
     "gradient_check",
 ]
@@ -178,28 +173,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # Arithmetic sugar; all routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def astensor(x, like: Tensor | None = None) -> Tensor:
     """Wrap arrays and scalars as constant tensors; pass tensors through.
@@ -253,58 +226,20 @@ def hand_over_grad(t: Tensor, g: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Broadcasting helpers (leading dimensions only)
-
-
-def _check_broadcast(sa: tuple, sb: tuple, opname: str) -> tuple:
-    if sa == sb:
-        return sa
-    small, big = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
-    if len(small) == len(big) or (small and small != big[len(big) - len(small):]):
-        raise ShapeError(f"{opname}: shapes {sa} and {sb} are not broadcast-compatible "
-                         "(broadcasting over leading dimensions only)")
-    return big
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
-
-
-# ---------------------------------------------------------------------------
 # Elementwise operations
 
 
-def _binary(a, b, opname, fwd, bwd_a, bwd_b) -> Tensor:
-    if not isinstance(a, Tensor) and isinstance(b, Tensor):
-        a = astensor(a, like=b)
-    a = astensor(a)
-    b = astensor(b, like=a)
-    _check_broadcast(a.data.shape, b.data.shape, opname)
-    out = Tensor._wrap(fwd(a.data, b.data))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Sum of two tensors of one shape: a skip merge, a residual total."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    out = Tensor._wrap(a.data + b.data)
 
     def backward_rule(g):
-        accumulate_grad(a, _unbroadcast(bwd_a(g, a.data, b.data), a.data.shape))
-        accumulate_grad(b, _unbroadcast(bwd_b(g, a.data, b.data), b.data.shape))
+        accumulate_grad(a, g)
+        accumulate_grad(b, g)
 
     return record_op(out, (a, b), backward_rule)
-
-
-def add(a, b) -> Tensor:
-    return _binary(a, b, "add", lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a, b) -> Tensor:
-    return _binary(a, b, "mul", lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def _leaky(a: np.ndarray, mask: np.ndarray, slope: float) -> np.ndarray:
@@ -410,26 +345,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
             accumulate_grad(p, np.take(g, i, axis=axis))
 
     return record_op(out, tuple(parts), backward_rule)
-
-
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    x = astensor(x)
-    axis = axis % x.data.ndim
-    extent = x.data.shape[axis]
-    if not (0 <= start <= stop <= extent):
-        raise ShapeError(f"slice [{start}:{stop}) out of range for axis {axis} of shape {x.data.shape}")
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = Tensor._wrap(x.data[idx])
-
-    def backward_rule(g):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[idx] += g
-
-    return record_op(out, (x,), backward_rule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
-"""Autodiff ops that only the tests compose: the rank-2 matrix product,
-tanh, sigmoid, axis permutation and summation. The reference GRU in
-``gru_oracle`` and the engine's own tests build on them; the package's
-layers do this work in fused tape ops instead.
+"""Autodiff ops that only the tests compose: broadcasting add, sub and
+mul, the rank-2 matrix product, tanh, sigmoid, axis permutation, slicing
+and summation. The reference GRU in ``gru_oracle``, the oracles and the
+engine's own tests build on them; the package's layers do this work in
+fused tape ops instead.
+
+Broadcasting in binary operations is restricted to leading dimensions:
+the smaller operand's shape must equal the trailing suffix of the larger
+one (a scalar broadcasts against anything).
 
 Also the former bodies of two engine paths, kept as oracles for their
 replacements: the composite ``mse_loss`` chain, and ``leaky_relu`` on
@@ -11,7 +16,74 @@ import numpy as np
 
 from stemsep.errors import ShapeError
 from stemsep.tensor import (Tensor, _expand_reduced, _normalize_axes, accumulate_grad, astensor,
-                            mul, record_op, reduce_mean, reshape, sub)
+                            record_op, reduce_mean, reshape)
+
+
+def _check_broadcast(sa: tuple, sb: tuple, opname: str) -> tuple:
+    if sa == sb:
+        return sa
+    small, big = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
+    if len(small) == len(big) or (small and small != big[len(big) - len(small):]):
+        raise ShapeError(f"{opname}: shapes {sa} and {sb} are not broadcast-compatible "
+                         "(broadcasting over leading dimensions only)")
+    return big
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    return g
+
+
+def _binary(a, b, opname, fwd, bwd_a, bwd_b) -> Tensor:
+    if not isinstance(a, Tensor) and isinstance(b, Tensor):
+        a = astensor(a, like=b)
+    a = astensor(a)
+    b = astensor(b, like=a)
+    _check_broadcast(a.data.shape, b.data.shape, opname)
+    out = Tensor._wrap(fwd(a.data, b.data))
+
+    def backward_rule(g):
+        accumulate_grad(a, _unbroadcast(bwd_a(g, a.data, b.data), a.data.shape))
+        accumulate_grad(b, _unbroadcast(bwd_b(g, a.data, b.data), b.data.shape))
+
+    return record_op(out, (a, b), backward_rule)
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, "add", lambda x, y: x + y,
+                   lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b) -> Tensor:
+    return _binary(a, b, "sub", lambda x, y: x - y,
+                   lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b) -> Tensor:
+    return _binary(a, b, "mul", lambda x, y: x * y,
+                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
+    x = astensor(x)
+    axis = axis % x.data.ndim
+    extent = x.data.shape[axis]
+    if not (0 <= start <= stop <= extent):
+        raise ShapeError(f"slice [{start}:{stop}) out of range for axis {axis} of shape {x.data.shape}")
+    idx = [slice(None)] * x.data.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+    out = Tensor._wrap(x.data[idx])
+
+    def backward_rule(g):
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[idx] += g
+
+    return record_op(out, (x,), backward_rule)
 
 
 def _unary(x, fwd, make_bwd) -> Tensor:

@@ -4,10 +4,10 @@ oracle for the fused ``stemsep.layers.GRU`` and reads that layer's
 parameters, so both run the same weights."""
 
 import numpy as np
-from engine_ops import matmul, sigmoid, tanh, transpose
+from engine_ops import add, matmul, mul, sigmoid, slice_axis, sub, tanh, transpose
 
 from stemsep.errors import ShapeError
-from stemsep.tensor import add, astensor, mul, reshape, slice_axis, stack, sub
+from stemsep.tensor import astensor, reshape, stack
 
 
 def composed_gru(gru, x):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import SYNTH_SOURCES, rng_for, synth_clips, tiny_config
+from engine_ops import mul
 from stemsep import dsp
 from stemsep import tensor as T
 from stemsep.audio_io import SOURCES, AudioClip, read_wav, write_wav
@@ -82,7 +83,7 @@ def test_criterion_1_gradient_suite():
         xt = T.Tensor(x, requires_grad=True)
         probe_lr = rng.normal(size=x.shape)
         worst["leaky_relu"] = T.gradient_check(
-            lambda t: T.reduce_mean(T.mul(T.leaky_relu(t, 0.01), T.Tensor(probe_lr))),
+            lambda t: T.reduce_mean(mul(T.leaky_relu(t, 0.01), T.Tensor(probe_lr))),
             xt, eps=eps)
 
         # conv1d: input, weight, bias
@@ -92,7 +93,7 @@ def test_criterion_1_gradient_suite():
 
         def conv_loss(_):
             out = conv1d(xc, wc, bc, stride=2, padding=(1, 1))
-            return T.reduce_mean(T.mul(out, out))
+            return T.reduce_mean(mul(out, out))
 
         worst["conv1d"] = max(
             T.gradient_check(conv_loss, xc, eps=eps, max_coords=24, rng=rng),
@@ -106,7 +107,7 @@ def test_criterion_1_gradient_suite():
 
         def tconv_loss(_):
             out = conv_transpose1d(xt2, wt2, bt2, stride=2)
-            return T.reduce_mean(T.mul(out, out))
+            return T.reduce_mean(mul(out, out))
 
         worst["tconv1d"] = max(
             T.gradient_check(tconv_loss, xt2, eps=eps, max_coords=24, rng=rng),
@@ -119,7 +120,7 @@ def test_criterion_1_gradient_suite():
 
         def gru_loss(_):
             out = gru(xg)
-            return T.reduce_mean(T.mul(out, out))
+            return T.reduce_mean(mul(out, out))
 
         gru_err = T.gradient_check(gru_loss, xg, eps=eps, max_coords=16, rng=rng)
         for _, p in gru.named_parameters(""):
@@ -132,7 +133,7 @@ def test_criterion_1_gradient_suite():
         probe = rng.normal(size=(4, 3, 3))
 
         def wn_loss(_):
-            return T.reduce_mean(T.mul(weight_normalized(v, g), T.Tensor(probe)))
+            return T.reduce_mean(mul(weight_normalized(v, g), T.Tensor(probe)))
 
         worst["weight_norm"] = max(T.gradient_check(wn_loss, v, eps=eps),
                                    T.gradient_check(wn_loss, g, eps=eps))
@@ -145,7 +146,7 @@ def test_criterion_1_gradient_suite():
         probe_bn = rng.normal(size=(4, 3, 8))
 
         def bn_loss(_):
-            return T.reduce_mean(T.mul(bn(xb, training=True), T.Tensor(probe_bn)))
+            return T.reduce_mean(mul(bn(xb, training=True), T.Tensor(probe_bn)))
 
         worst["batch_norm"] = max(
             T.gradient_check(bn_loss, xb, eps=eps, max_coords=24, rng=rng),

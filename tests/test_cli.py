@@ -392,6 +392,20 @@ def test_malformed_checkpoint_exits_data_error(tmp_path, caplog, edit, tail):
     assert "Traceback" not in caplog.text
 
 
+def test_checkpoint_with_unmirrored_decoder_exits_config_error(tmp_path, caplog):
+    # Decoder layer 1 strides 1 where encoder layer 3 strides 2; the weight
+    # shapes still match, so only the config check can refuse the model.
+    ckpt_path = small_checkpoint(tmp_path)
+    _rewrite_checkpoint(ckpt_path, _set(lambda h: h["model_config"]["decoder_specs"][0]
+                                        .__setitem__(2, 1)))
+    write_wav(tmp_path / "song.wav", AudioClip.silence(22050), fmt="float32")
+    code = main(["separate", "--checkpoint", str(ckpt_path), "--input", str(tmp_path / "song.wav"),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "decoder layer 1" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 def test_checkpoint_rewrite_helper_is_byte_exact(tmp_path):
     # So in the cases above only the edit itself can make a load fail.
     ckpt_path = small_checkpoint(tmp_path)

@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import rng_for
+from conftest import bits, rng_for
 from conv_oracle import im2col_conv1d, scatter_conv_transpose1d
-from engine_ops import reduce_sum
+from engine_ops import mul, reduce_sum
 from gru_oracle import composed_gru
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,11 +186,11 @@ def test_conv_gradients_finite_difference():
 
     def loss_padded(t):
         out = conv1d(t, w, b, stride=2, padding=(1, 0))
-        return T.reduce_mean(T.mul(out, out))
+        return T.reduce_mean(mul(out, out))
 
     def loss_plain(wt, bt):
         out = conv1d(x, wt, bt, stride=2)
-        return T.reduce_mean(T.mul(out, out))
+        return T.reduce_mean(mul(out, out))
 
     assert T.gradient_check(loss_padded, x, eps=1e-5) < 1e-4
     assert T.gradient_check(lambda t: loss_plain(t, b), w, eps=1e-5) < 1e-4
@@ -205,7 +205,7 @@ def test_tconv_gradients_finite_difference():
 
     def make_loss(xt, wt, bt):
         out = conv_transpose1d(xt, wt, bt, stride=2)
-        return T.reduce_mean(T.mul(out, out))
+        return T.reduce_mean(mul(out, out))
 
     assert T.gradient_check(lambda t: make_loss(t, w, b), x, eps=1e-5) < 1e-4
     assert T.gradient_check(lambda t: make_loss(x, t, b), w, eps=1e-5) < 1e-4
@@ -222,7 +222,7 @@ def _conv_outputs_and_grads(op, x, w, b, probe, **kwargs):
     and the gradients of the input, weight and bias."""
     xt, wt, bt = T.Tensor(x, requires_grad=True), param(w), param(b)
     out = op(xt, wt, bt, **kwargs)
-    T.backward(reduce_sum(T.mul(out, T.Tensor(probe))))
+    T.backward(reduce_sum(mul(out, T.Tensor(probe))))
     return out.data, [xt.grad, wt.grad, bt.grad]
 
 
@@ -262,16 +262,19 @@ def test_conv1d_gather_matches_oracles(b, c_in, c_out, k, stride, pl, pr, extra,
 @settings(max_examples=80, deadline=None)
 @given(b=st.integers(1, 3), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
        k=st.integers(1, 5), stride=st.integers(1, 3), t=st.integers(1, 7),
-       time_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       time_major=st.booleans(), cut=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_conv_transpose1d_scatter_matches_oracles(b, c_in, c_out, k, stride, t, time_major,
-                                                  seed):
+                                                  cut, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(b, c_in, t))
     if time_major:
         x = _time_major(x)
     w = rng.normal(size=(c_out, c_in, k))
     bias = rng.normal(size=c_out)
-    probe = rng.normal(size=(b, c_out, (t - 1) * stride + k))
+    natural = (t - 1) * stride + k
+    length = max(natural - cut, 1)
+    probe = rng.normal(size=(b, c_out, natural))
+    probe[:, :, length:] = 0.0
 
     out, grads = _conv_outputs_and_grads(conv_transpose1d, x, w, bias, probe, stride=stride)
     ref_out, ref_grads = _conv_outputs_and_grads(scatter_conv_transpose1d, x, w, bias, probe,
@@ -282,6 +285,55 @@ def test_conv_transpose1d_scatter_matches_oracles(b, c_in, c_out, k, stride, t, 
     for got, want in zip(grads, ref_grads, strict=True):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    # The first ``length`` frames are the full op's, bit for bit, and with
+    # no upstream gradient past them, so are the input and weight gradients.
+    # The bias gradient sums fewer zeros, which numpy's pairwise sum may
+    # group differently.
+    cut_out, cut_grads = _conv_outputs_and_grads(conv_transpose1d, x, w, bias,
+                                                 probe[:, :, :length], stride=stride,
+                                                 length=length)
+    assert np.array_equal(bits(cut_out), bits(out[:, :, :length]))
+    for got, want in zip(cut_grads[:2], grads[:2], strict=True):
+        assert np.array_equal(bits(got), bits(want))
+    assert np.max(np.abs(cut_grads[2] - grads[2])) <= 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_transpose1d_length_must_be_a_prefix(stride):
+    x, w, bias = T.Tensor(np.ones((1, 2, 4))), param(np.ones((3, 2, 5))), param(np.zeros(3))
+    natural = 3 * stride + 5
+    assert conv_transpose1d(x, w, bias, stride=stride, length=natural).data.shape[-1] == natural
+    for length in (0, natural + 1):
+        with pytest.raises(ShapeError):
+            conv_transpose1d(x, w, bias, stride=stride, length=length)
+
+
+@pytest.mark.parametrize("t", [3, 5, 8])
+@pytest.mark.parametrize("stride,padding", [(2, (0, 0)), (3, (1, 1))])
+def test_conv_layer_walk_covers_the_last_frame(t, stride, padding):
+    # T < K, T = K and a T that is not a whole stride: the layer right-pads
+    # to 1 + ceil(max(T + pl + pr - K, 0) / stride) frames, each the
+    # functional conv of the zero-extended input.
+    kernel = 5
+    layer = Conv1d(2, 3, kernel, stride=stride, padding=padding, rng=rng_for(f"walk-{t}"))
+    x = rng_for(f"walk-x-{t}").normal(size=(2, 2, t))
+    out = layer(T.Tensor(x)).data
+    frames = 1 + math.ceil(max(t + sum(padding) - kernel, 0) / stride)
+    assert out.shape == (2, 3, frames)
+    pl, pr = padding
+    extended = np.pad(x, ((0, 0), (0, 0), (pl, (frames - 1) * stride + kernel - t - pl)))
+    want = conv1d(T.Tensor(extended), layer.effective_weight(), layer.bias, stride=stride).data
+    assert np.array_equal(out, want)
+
+
+def test_transposed_batch_norm_normalizes_the_returned_frames():
+    # Batch statistics cover exactly the frames the layer returns.
+    layer = Conv1d(2, 3, 5, stride=2, transposed=True, norm="batch_norm", rng=rng_for("tbn"))
+    out = layer(T.Tensor(rng_for("tbn-x").normal(size=(2, 2, 6))), training=True, length=14)
+    assert out.data.shape == (2, 3, 14)
+    assert np.allclose(out.data.mean(axis=(0, 2)), 0.0, atol=1e-12)
+    assert np.allclose(out.data.var(axis=(0, 2)), 1.0, atol=1e-3)
 
 
 def _max_relative_error(got, want):
@@ -381,7 +433,7 @@ def test_weight_norm_gradients():
 
     def make_loss(vt, gt):
         w = weight_normalized(vt, gt)
-        return T.reduce_mean(T.mul(w, T.Tensor(probe)))
+        return T.reduce_mean(mul(w, T.Tensor(probe)))
 
     assert T.gradient_check(lambda t: make_loss(t, g), v, eps=1e-5) < 1e-4
     assert T.gradient_check(lambda t: make_loss(v, t), g, eps=1e-5) < 1e-4
@@ -447,7 +499,7 @@ def test_gru_parameter_gradients_finite_difference():
 
     def loss(_):
         out = gru(T.Tensor(x))
-        return T.reduce_mean(T.mul(out, out))
+        return T.reduce_mean(mul(out, out))
 
     for name, p in gru.named_parameters(""):
         err = T.gradient_check(loss, p, eps=1e-5)
@@ -461,7 +513,7 @@ def test_gru_input_gradient_finite_difference():
 
     def loss(t):
         out = gru(t)
-        return T.reduce_mean(T.mul(out, out))
+        return T.reduce_mean(mul(out, out))
 
     assert T.gradient_check(loss, x, eps=1e-5) < 1e-4
 
@@ -474,7 +526,7 @@ def _gru_outputs_and_grads(run, gru, x, weight):
         p.zero_grad()
     xt = T.Tensor(x, requires_grad=True)
     out = run(gru, xt)
-    T.backward(reduce_sum(T.mul(out, T.Tensor(weight))))
+    T.backward(reduce_sum(mul(out, T.Tensor(weight))))
     return out.data, [xt.grad] + [p.grad for p in params]
 
 
@@ -602,7 +654,7 @@ def test_batch_norm_gradients_finite_difference():
 
     def loss(t):
         out = bn(t, training=True)
-        return T.reduce_mean(T.mul(out, T.Tensor(probe)))
+        return T.reduce_mean(mul(out, T.Tensor(probe)))
 
     assert T.gradient_check(loss, x, eps=1e-5) < 1e-4
     assert T.gradient_check(lambda _: loss(x), bn.gamma, eps=1e-5) < 1e-4

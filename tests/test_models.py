@@ -4,7 +4,9 @@ count oracle, gradient flow, residual telescoping, and variant matrix."""
 import numpy as np
 import pytest
 
-from conftest import eval_forward, rng_for, tiny_config
+from conftest import bits, eval_forward, rng_for, tiny_config
+from engine_ops import mul, reduce_sum
+from model_oracle import pad_and_crop_forward
 from stemsep import tensor as T
 from stemsep.errors import ConfigError, ShapeError
 from stemsep.layers import NORM_KINDS
@@ -126,6 +128,21 @@ def test_invalid_channel_arithmetic_names_offending_layer():
     assert "decoder layer 1" in str(err.value)
 
 
+@pytest.mark.parametrize("layer", [1, 2, 3])
+@pytest.mark.parametrize("field", [1, 2])
+def test_decoder_must_mirror_encoder_kernels_and_strides(layer, field):
+    # Decoder layer i returns the length encoder layer 4 - i consumed, which
+    # only a transposed conv with that layer's kernel and stride can.
+    cfg = tiny_config("identity")
+    decoder = [list(spec) for spec in cfg.decoder_specs]
+    decoder[layer - 1][field] += 1
+    broken = ModelConfig(cfg.encoder_specs, tuple(map(tuple, decoder)), skip_kind="identity",
+                         input_channels=12, freq_bins=12, source_count=2)
+    with pytest.raises(ConfigError) as err:
+        build_separator(broken)
+    assert f"decoder layer {layer}" in str(err.value)
+
+
 def test_wrong_input_channel_count_rejected():
     model = build_separator(tiny_config(), rng=0)
     with pytest.raises(ShapeError):
@@ -164,6 +181,70 @@ def test_batched_forward_matches_single():
         batched = model.forward(x).data
     for i in range(3):
         assert np.allclose(batched[i], eval_forward(model, x[i]), atol=1e-12)
+
+
+def _forward_and_grads(forward, model, x, probe):
+    out = forward(x)
+    T.backward(reduce_sum(mul(out, T.Tensor(probe))))
+    grads = {name: p.grad for name, p in model.named_parameters()}
+    for _, p in model.named_parameters():
+        p.zero_grad()
+    return out.data, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("norm", NORM_KINDS)
+@pytest.mark.parametrize("recurrence", ["skips", "after_tconv4"])
+@pytest.mark.parametrize("skip_kind", SKIP_KINDS)
+def test_forward_bit_equal_to_pad_and_crop_oracle(skip_kind, recurrence, norm, dtype):
+    # Batch norm runs in eval mode: in training mode a decoder layer's batch
+    # statistics now cover only the frames it returns, not the cropped tail.
+    training = norm == "weight_norm"
+    with T.using_dtype(dtype):
+        model = build_separator(tiny_config(skip_kind, recurrence, norm), rng=19)
+        rng = rng_for(f"oracle-{skip_kind}-{recurrence}-{norm}")
+        for prefix, layer in model.modules():
+            for name, buf in layer.named_buffers(prefix):
+                layer.load_buffer(name, rng.uniform(0.5, 1.5, size=buf.shape).astype(dtype))
+        for t in (7, 16, 23, 31):
+            x = rng.normal(size=(2, 12, t)).astype(dtype)
+            probe = rng.normal(size=(2, 24, t)).astype(dtype)
+            out, grads = _forward_and_grads(lambda v: model.forward(v, training), model, x, probe)
+            want_out, want_grads = _forward_and_grads(
+                lambda v: pad_and_crop_forward(model, v, training), model, x, probe)
+            assert out.dtype == dtype
+            assert np.array_equal(bits(out), bits(want_out)), t
+            for name, grad in grads.items():
+                want = want_grads[name]
+                if name.startswith("decoder.") and name.endswith(("bias", "gamma", "beta")):
+                    # A per-channel sum over (batch, time) that no longer adds the
+                    # cropped tail's zeros: numpy's pairwise sum may group it
+                    # differently (at t = 31, 7 frames against 8).
+                    bound = 8 * np.finfo(dtype).eps * np.max(np.abs(want))
+                    assert np.max(np.abs(grad - want)) <= bound, (t, name)
+                else:
+                    assert np.array_equal(bits(grad), bits(want)), (t, name)
+
+
+def test_training_tape_holds_no_pad_or_crop_op():
+    # At t = 16 the second encoder layer needs a one-frame pad and the last
+    # two decoder layers a crop; only the layers, the skip adds and the
+    # loss are left on the tape.
+    model = build_separator(tiny_config("gru"), rng=23)
+    rng = rng_for("tape-count")
+    x = rng.normal(size=(2, 12, 16))
+    target = np.abs(rng.normal(size=(2, 2, 12, 16)))
+    tape = T.current_tape()
+    tape.clear()
+    mse_loss(model.forward(x, training=True), target)
+    weight_norms = convs = activations = 6
+    grus, skip_adds, loss = 2, 2, 1
+    ops = weight_norms + convs + activations + grus + skip_adds + loss
+    assert len(tape) == ops == 23
+    tape.clear()
+    mse_loss(pad_and_crop_forward(model, x, training=True), target)
+    assert len(tape) == ops + 3  # the oracle's pad concat and two crops
+    tape.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, rng_for
-from engine_ops import leaky_relu_where, matmul, reduce_sum, sigmoid, tanh, transpose
+from engine_ops import (add, leaky_relu_where, matmul, mul, reduce_sum, sigmoid, slice_axis, sub,
+                        tanh, transpose)
 from stemsep import tensor as T
 from stemsep.errors import ShapeError
 
@@ -58,7 +59,7 @@ def test_leaky_relu_backward_keeps_input_dtype(dtype):
     with T.using_dtype(dtype):
         t = T.Tensor(x, requires_grad=True)
         out = T.leaky_relu(t, slope=0.01)
-        T.backward(reduce_sum(T.mul(out, T.Tensor(probe))))
+        T.backward(reduce_sum(mul(out, T.Tensor(probe))))
         probe = probe.astype(dtype)
     assert t.grad.dtype == dtype
     # The backward applies the slope the forward applied: out(-1) = -slope.
@@ -92,7 +93,7 @@ def test_leaky_relu_bit_equal_to_where_formula(dtype, consumers):
         with T.using_dtype(dtype):
             t = T.Tensor(x, requires_grad=True)
             outs = [op(t, 0.01) for _ in range(consumers)]
-            terms = [reduce_sum(T.mul(o, T.Tensor(p))) for o, p in zip(outs, probes)]
+            terms = [reduce_sum(mul(o, T.Tensor(p))) for o, p in zip(outs, probes)]
             T.backward(terms[0] if consumers == 1 else T.add(*terms))
         return outs[0].data, t.grad
 
@@ -110,10 +111,10 @@ def test_slice_axis_backward_adds_into_zeros(dtype):
     x, probes = _input_and_probes("slice-bits", dtype)
     with T.using_dtype(dtype):
         t = T.Tensor(x, requires_grad=True)
-        first = T.slice_axis(t, 1, 2, 6)
-        second = T.slice_axis(t, 1, 0, 5)
-        T.backward(T.add(reduce_sum(T.mul(first, T.Tensor(probes[0][:, 2:6]))),
-                         reduce_sum(T.mul(second, T.Tensor(probes[1][:, :5])))))
+        first = slice_axis(t, 1, 2, 6)
+        second = slice_axis(t, 1, 0, 5)
+        T.backward(T.add(reduce_sum(mul(first, T.Tensor(probes[0][:, 2:6]))),
+                         reduce_sum(mul(second, T.Tensor(probes[1][:, :5])))))
     want = np.zeros_like(x)
     want[:, :5] += probes[1][:, :5]
     want[:, 2:6] += probes[0][:, 2:6]
@@ -143,7 +144,7 @@ def test_hand_over_grad_keeps_a_fresh_array_and_adds_the_next():
 def test_add_broadcasts_trailing_suffix():
     a = T.Tensor(np.ones((2, 3, 4)))
     b = T.Tensor(np.arange(4.0))
-    out = T.add(a, b)
+    out = add(a, b)
     assert out.data.shape == (2, 3, 4)
     assert np.array_equal(out.data[1, 2], 1.0 + np.arange(4.0))
 
@@ -151,15 +152,29 @@ def test_add_broadcasts_trailing_suffix():
 def test_add_rejects_non_suffix_shapes():
     a = T.Tensor(np.ones((2, 3)))
     b = T.Tensor(np.ones((2, 1)))
-    with pytest.raises(ShapeError) as err:
-        T.add(a, b)
-    assert "(2, 3)" in str(err.value) and "(2, 1)" in str(err.value)
+    for op in (T.add, add):
+        with pytest.raises(ShapeError) as err:
+            op(a, b)
+        assert "(2, 3)" in str(err.value) and "(2, 1)" in str(err.value)
+
+
+def test_engine_add_takes_one_shape_only():
+    # The package adds only equal shapes; broadcasting is a test-side op.
+    with pytest.raises(ShapeError):
+        T.add(T.Tensor(np.ones((2, 3, 4))), T.Tensor(np.arange(4.0)))
+    rng = rng_for("engine-add")
+    av, bv, probe = rng.normal(size=(3, 2, 4, 5))
+    a, b = T.Tensor(av, requires_grad=True), T.Tensor(bv, requires_grad=True)
+    out = T.add(a, b)
+    T.backward(reduce_sum(mul(out, T.Tensor(probe))))
+    assert np.array_equal(out.data, av + bv)
+    assert np.array_equal(a.grad, probe) and np.array_equal(b.grad, probe)
 
 
 def test_scalar_promotion():
     x = T.Tensor(np.ones(3))
-    assert np.array_equal((1.0 - x).data, np.zeros(3))
-    assert np.array_equal((x * 2.0).data, 2.0 * np.ones(3))
+    assert np.array_equal(sub(1.0, x).data, np.zeros(3))
+    assert np.array_equal(mul(x, 2.0).data, 2.0 * np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +249,13 @@ def test_backward_of_sum_gives_ones():
 
 def test_backward_mean_of_squares():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    T.backward(T.reduce_mean(T.mul(x, x)))
+    T.backward(T.reduce_mean(mul(x, x)))
     assert np.allclose(x.grad, [1.0, 2.0], atol=1e-15)
 
 
 def test_backward_requires_scalar():
     x = T.Tensor(np.ones(3), requires_grad=True)
-    y = T.mul(x, x)
+    y = mul(x, x)
     with pytest.raises(ShapeError):
         T.backward(y)
 
@@ -257,16 +272,16 @@ def test_backward_accumulates_across_branches():
     rng = rng_for("branches")
     xv = rng.normal(size=(4,))
     x = T.Tensor(xv, requires_grad=True)
-    branch_a = reduce_sum(T.mul(x, x))
-    branch_b = reduce_sum(T.mul(x, 3.0))
+    branch_a = reduce_sum(mul(x, x))
+    branch_b = reduce_sum(mul(x, 3.0))
     T.backward(T.add(branch_a, branch_b))
     combined = x.grad.copy()
 
     x.zero_grad()
-    T.backward(reduce_sum(T.mul(x, x)))
+    T.backward(reduce_sum(mul(x, x)))
     ga = x.grad.copy()
     x.zero_grad()
-    T.backward(reduce_sum(T.mul(x, 3.0)))
+    T.backward(reduce_sum(mul(x, 3.0)))
     gb = x.grad.copy()
     assert np.allclose(combined, ga + gb, atol=1e-14)
 
@@ -286,7 +301,7 @@ def test_no_grad_blocks_recording():
     x = T.Tensor(np.ones(3), requires_grad=True)
     T.current_tape().clear()
     with T.no_grad():
-        y = T.mul(x, x)
+        y = mul(x, x)
     assert len(T.current_tape()) == 0
     assert not y.requires_grad
 
@@ -296,7 +311,7 @@ def test_tape_records_in_topological_order():
     T.current_tape().clear()
     x = T.Tensor(rng_for("topo").normal(size=(3, 3)), requires_grad=True)
     y = matmul(tanh(x), sigmoid(x))
-    reduce_sum(T.mul(y, y))
+    reduce_sum(mul(y, y))
     seen = {id(x)}
     for op in T.current_tape().ops:
         for inp in op.inputs:
@@ -312,7 +327,7 @@ def test_tape_records_in_topological_order():
 def test_reshape_transpose_roundtrip_grads():
     x = T.Tensor(rng_for("shape").normal(size=(2, 3, 4)), requires_grad=True)
     y = transpose(T.reshape(x, (6, 4)), (1, 0))
-    T.backward(reduce_sum(T.mul(y, y)))
+    T.backward(reduce_sum(mul(y, y)))
     assert x.grad.shape == (2, 3, 4)
     assert np.allclose(x.grad, 2.0 * x.data, atol=1e-14)
 
@@ -322,7 +337,7 @@ def test_concat_and_slice_grads():
     b = T.Tensor(np.ones((2, 2)), requires_grad=True)
     joined = T.concat([a, b], axis=1)
     assert joined.data.shape == (2, 5)
-    piece = T.slice_axis(joined, 1, 1, 4)
+    piece = slice_axis(joined, 1, 1, 4)
     T.backward(reduce_sum(piece))
     assert np.array_equal(a.grad, np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]))
     assert np.array_equal(b.grad, np.array([[1.0, 0.0], [1.0, 0.0]]))
@@ -332,14 +347,14 @@ def test_stack_grads():
     xs = [T.Tensor(np.full(3, float(i)), requires_grad=True) for i in range(4)]
     out = T.stack(xs, axis=0)
     assert out.data.shape == (4, 3)
-    T.backward(reduce_sum(T.mul(out, 2.0)))
+    T.backward(reduce_sum(mul(out, 2.0)))
     for x in xs:
         assert np.array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_slice_out_of_range():
     with pytest.raises(ShapeError):
-        T.slice_axis(T.Tensor(np.ones((2, 3))), 1, 0, 4)
+        slice_axis(T.Tensor(np.ones((2, 3))), 1, 0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +378,9 @@ def test_gradient_check_mean_tanh():
 
 @pytest.mark.parametrize("name,fn", [
     ("sigmoid", lambda t: T.reduce_mean(sigmoid(t))),
-    ("tanh", lambda t: reduce_sum(T.mul(tanh(t), tanh(t)))),
+    ("tanh", lambda t: reduce_sum(mul(tanh(t), tanh(t)))),
     ("leaky", lambda t: T.reduce_mean(T.leaky_relu(t, 0.01))),
-    ("mul", lambda t: T.reduce_mean(T.mul(t, tanh(t)))),
+    ("mul", lambda t: T.reduce_mean(mul(t, tanh(t)))),
 ])
 def test_gradient_check_elementwise(name, fn):
     rng = rng_for("gc-" + name)
@@ -383,7 +398,7 @@ def test_gradient_check_matmul():
 
     def f(t):
         prod = matmul(t, T.Tensor(b_const))
-        return T.reduce_mean(T.mul(prod, prod))
+        return T.reduce_mean(mul(prod, prod))
 
     assert T.gradient_check(f, a, eps=1e-5) < 1e-4
 
@@ -413,7 +428,7 @@ def test_mul_grad_matches_product_rule(rows, cols, data):
     av, bv = rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols))
     a = T.Tensor(av, requires_grad=True)
     b = T.Tensor(bv, requires_grad=True)
-    T.backward(reduce_sum(T.mul(a, b)))
+    T.backward(reduce_sum(mul(a, b)))
     assert np.allclose(a.grad, bv, atol=1e-12)
     assert np.allclose(b.grad, av, atol=1e-12)
 
