@@ -119,10 +119,6 @@ def bundle_from_checkpoint(ckpt: Checkpoint) -> ModelBundle:
                          for _ in range(ckpt.model_config.source_count)]
         bundle = ModelBundle(ckpt.mode, separator, enhancers=enhancers,
                              residual=ckpt.residual, sources=tuple(ckpt.sources))
-        missing = [name for name, _ in bundle.named_parameters() if name not in ckpt.params]
-        if missing:
-            raise CorruptCheckpointError(
-                f"checkpoint lacks {len(missing)} parameter tensor(s), first {missing[0]!r}")
         restore_state(bundle, ckpt.params)
     return bundle
 
@@ -223,6 +219,8 @@ def _check_header(header, path) -> None:
                 fail(f"field {key!r} is missing or not of type {kind}")
     if header["mode"] not in BUNDLE_MODES:
         fail(f"names unknown mode {header['mode']!r}; expected one of {BUNDLE_MODES}")
+    if header["mode"] == "residual" and header["residual"] is None:
+        fail("is in residual mode but carries no residual iterations")
     if not all(isinstance(name, str) for name in header["sources"]):
         fail("lists a source name that is not a string")
 

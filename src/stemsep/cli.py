@@ -97,7 +97,7 @@ def _train_windows(dataset, values, sources):
         tracks, clip_seconds=values["data.clip_seconds"],
         val_ratio=values["data.val_ratio"], seed=values["train.seed"], sources=sources)
     if not val_windows:
-        raise DataError("validation split is empty; add songs or lower data.val_ratio")
+        raise DataError("validation split is empty; add songs or lower data.clip_seconds")
     return pool, val_windows
 
 
@@ -117,17 +117,16 @@ def _train_and_save(out, bundle, pool, val_windows, tcfg):
 
 def cmd_train(args) -> int:
     values = _resolved(args)
-    sources = cfgmod.source_names(values)
     model_cfg = cfgmod.model_config(values)
-    _check_output(args.out)
-    pool, val_windows = _train_windows(args.dataset, values, sources)
+    train_cfg = cfgmod.train_config(values)
     mode = values["train.mode"]
+    residual = ResidualConfig(values["train.residual_iterations"]) if mode == "residual" else None
+    _check_output(args.out)
+    pool, val_windows = _train_windows(args.dataset, values, values["data.sources"])
     with using_dtype(values["train.dtype"]):
         separator = build_separator(model_cfg, rng=values["train.seed"])
-        residual = ResidualConfig(values["train.residual_iterations"]) \
-            if mode == "residual" else None
-        bundle = ModelBundle(mode, separator, residual=residual, sources=sources)
-        ckpt = _train_and_save(args.out, bundle, pool, val_windows, cfgmod.train_config(values))
+        bundle = ModelBundle(mode, separator, residual=residual, sources=values["data.sources"])
+        ckpt = _train_and_save(args.out, bundle, pool, val_windows, train_cfg)
     log.info("saved checkpoint to %s (best val loss %.6f)", args.out, ckpt.meta["best_val_loss"])
     return EXIT_OK
 
@@ -135,6 +134,7 @@ def cmd_train(args) -> int:
 def cmd_train_enhancer(args) -> int:
     values = _resolved(args)
     enh_cfg = cfgmod.enhancer_model_config(values)
+    train_cfg = cfgmod.train_config(values)
     _check_output(args.out)
     base = load_checkpoint(args.separator)
     if base.mode != "separator":
@@ -147,7 +147,7 @@ def cmd_train_enhancer(args) -> int:
         enhancers = [build_enhancer(enh_cfg, rng=values["train.seed"] + 1 + s)
                      for s in range(len(sources))]
         bundle = ModelBundle("enhancer", frozen.separator, enhancers=enhancers, sources=sources)
-        _train_and_save(args.out, bundle, pool, val_windows, cfgmod.train_config(values))
+        _train_and_save(args.out, bundle, pool, val_windows, train_cfg)
     log.info("saved enhancer checkpoint to %s", args.out)
     return EXIT_OK
 
@@ -173,7 +173,7 @@ def cmd_evaluate(args) -> int:
     model = None
     if args.checkpoint:
         model = bundle_from_checkpoint(load_checkpoint(args.checkpoint))
-    sources = cfgmod.source_names(values) if args.estimates_dir else None
+    sources = values["data.sources"] if args.estimates_dir else None
     report = evaluate(args.dataset, split=args.split, model=model,
                       estimates_dir=args.estimates_dir, sources=sources,
                       accompaniment=values["separate.accompaniment"],
@@ -190,6 +190,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_dump_spec(args) -> int:
+    _resolved(args)  # no setting applies, but a malformed or unknown one is still an error
     if args.track_dir:
         if not args.out_dir:
             raise ConfigError("--out-dir is required with --track-dir")

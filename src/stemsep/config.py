@@ -2,53 +2,83 @@
 
 Every key can be overridden on the command line by a flag of the same
 dotted name (``--train.lr_conv 0.0005``). Unknown keys fail loudly so a
-config file always describes a reproducible run.
+config file always describes a reproducible run. Each key parses once, to
+the type its consumer takes, and defaults to that consumer's own default.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
+from .audio_io import SOURCES
 from .dsp import FREQ_BINS
 from .errors import ConfigError
 from .evaluate import ACCOMPANIMENT_MODES
 from .layers import NORM_KINDS
-from .models import RECURRENCE_KINDS, SKIP_KINDS, ModelConfig, enhancer_config, separator_config
-from .training import TrainConfig
+from .models import (DEFAULT_CHANNELS, DEFAULT_KERNELS, DEFAULT_STRIDES, RECURRENCE_KINDS,
+                     SKIP_KINDS, ModelConfig, ResidualConfig, enhancer_config, separator_config)
+from .training import TrainConfig, clip_length
 
-_CHOICES = {
-    "model.skip_kind": SKIP_KINDS,
-    "model.recurrence": RECURRENCE_KINDS,
-    "model.norm": NORM_KINDS,
-    "train.mode": ("separator", "residual"),
-    "train.dtype": ("float32", "float64"),
-    "separate.accompaniment": ACCOMPANIMENT_MODES,
-}
+
+def _one_of(choices):
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"expected one of {choices}")
+        return raw
+    return parse
+
+
+def _int_triple(raw: str) -> tuple:
+    parts = raw.split(",")
+    if len(parts) != 3:
+        raise ValueError("needs exactly three comma-separated integers")
+    return tuple(int(p) for p in parts)
+
+
+def _names(raw: str) -> tuple:
+    names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if not names:
+        raise ValueError("needs at least one name")
+    return names
+
+
+def _clip_seconds(raw: str) -> float:
+    clip_length(float(raw))
+    return float(raw)
+
+
+def _ratio(raw: str) -> float:
+    ratio = float(raw)
+    if not 0 < ratio < 1:
+        raise ValueError("must lie strictly between 0 and 1")
+    return ratio
+
 
 # key -> (parser, default, help)
 SCHEMA = {
-    "model.skip_kind": (str, "gru", "skip-connection transform"),
-    "model.recurrence": (str, "skips", "where recurrent layers sit"),
-    "model.norm": (str, "weight_norm", "per-layer normalization"),
-    "model.channels": (str, "512,256,128", "encoder channel widths"),
-    "model.kernels": (str, "5,5,3", "encoder kernel sizes"),
-    "model.strides": (str, "2,2,2", "encoder strides"),
-    "model.freq_bins": (int, 1025, "spectrogram rows the model consumes"),
-    "train.mode": (str, "separator", "separator or residual training"),
-    "train.batch_size": (int, 10, "instances per step"),
-    "train.lr_conv": (float, 1e-3, "learning rate for convolution parameters"),
-    "train.lr_gru": (float, 1e-4, "learning rate for recurrent parameters"),
-    "train.max_epochs": (int, 50, "epoch budget (one epoch = epoch_batches steps)"),
-    "train.patience": (int, 10, "stale validations before stopping"),
-    "train.epoch_batches": (int, 100, "augmented batches per epoch"),
-    "train.seed": (int, 0, "seed for init, split, and augmentation"),
-    "train.residual_iterations": (int, 3, "refinement passes in residual mode"),
-    "train.dtype": (str, "float32", "training precision"),
-    "train.gru_clip_norm": (float, 5.0, "global-norm clip for recurrent grads"),
-    "data.sources": (str, "drums,bass,other,vocals", "stem names, comma separated"),
-    "data.clip_seconds": (float, 5.0, "training sub-clip length"),
-    "data.val_ratio": (float, 0.1, "fraction of songs held out for validation"),
-    "separate.accompaniment": (str, "nonvocal", "accompaniment definition"),
+    "model.skip_kind": (_one_of(SKIP_KINDS), ModelConfig.skip_kind, "skip-connection transform"),
+    "model.recurrence": (_one_of(RECURRENCE_KINDS), ModelConfig.recurrence,
+                         "after_tconv4 adds a GRU after decoder layer 1"),
+    "model.norm": (_one_of(NORM_KINDS), ModelConfig.norm_kind, "per-layer normalization"),
+    "model.channels": (_int_triple, DEFAULT_CHANNELS, "encoder channel widths"),
+    "model.kernels": (_int_triple, DEFAULT_KERNELS, "encoder kernel sizes"),
+    "model.strides": (_int_triple, DEFAULT_STRIDES, "encoder strides"),
+    "train.mode": (_one_of(("separator", "residual")), "separator", "training mode"),
+    "train.batch_size": (int, TrainConfig.batch_size, "instances per step"),
+    "train.lr_conv": (float, TrainConfig.lr_conv, "learning rate for convolution parameters"),
+    "train.lr_gru": (float, TrainConfig.lr_gru, "learning rate for recurrent parameters"),
+    "train.max_epochs": (int, TrainConfig.max_epochs, "epoch budget (epoch = epoch_batches steps)"),
+    "train.patience": (int, TrainConfig.patience, "stale validations before stopping"),
+    "train.epoch_batches": (int, TrainConfig.epoch_batches, "augmented batches per epoch"),
+    "train.seed": (int, TrainConfig.seed, "seed for init, split, and augmentation"),
+    "train.residual_iterations": (int, ResidualConfig.iterations, "residual refinement passes"),
+    "train.dtype": (_one_of(("float32", "float64")), "float32", "training precision"),
+    "train.gru_clip_norm": (float, TrainConfig.gru_clip_norm, "global-norm clip, recurrent grads"),
+    "data.sources": (_names, SOURCES, "stem names, comma separated"),
+    "data.clip_seconds": (_clip_seconds, 5.0, "sub-clip length, at least one STFT window"),
+    "data.val_ratio": (_ratio, 0.1, "validation share of songs, in (0, 1)"),
+    "separate.accompaniment": (_one_of(ACCOMPANIMENT_MODES), "nonvocal", "accompaniment rule"),
     "eval.jobs": (int, 1, "parallel tracks during evaluation"),
 }
 
@@ -60,14 +90,10 @@ def defaults() -> dict:
 def _parse_value(key: str, raw: str):
     if key not in SCHEMA:
         raise ConfigError(f"unknown configuration key {key!r}")
-    parser = SCHEMA[key][0]
     try:
-        value = parser(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {key}={raw!r} as {parser.__name__}")
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ConfigError(f"{key}={value!r}; expected one of {_CHOICES[key]}")
-    return value
+        return SCHEMA[key][0](raw)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"cannot parse {key}={raw!r}: {exc}") from None
 
 
 def load_config_file(path) -> dict:
@@ -87,54 +113,27 @@ def load_config_file(path) -> dict:
     return values
 
 
-def apply_overrides(values: dict, overrides) -> dict:
-    """``overrides`` is a list of (key, raw_value) pairs from CLI flags."""
-    merged = dict(values)
-    for key, raw in overrides:
-        merged[key] = _parse_value(key, raw)
-    return merged
-
-
 def resolve(config_path=None, overrides=()) -> dict:
+    """Defaults, then the config file, then ``overrides``: (key, raw value)
+    pairs from CLI flags."""
     values = defaults()
     if config_path:
         values.update(load_config_file(config_path))
-    return apply_overrides(values, overrides)
-
-
-def _int_triple(raw: str, key: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{key} needs exactly three comma-separated integers, got {raw!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{key} needs integers, got {raw!r}")
-
-
-def source_names(values: dict) -> tuple:
-    names = tuple(s.strip() for s in values["data.sources"].split(",") if s.strip())
-    if not names:
-        raise ConfigError("data.sources is empty")
-    return names
-
-
-def _freq_bins(values: dict) -> int:
-    # The STFT fixes the spectrogram height, so any other value would only
-    # fail at the first training step, after the whole dataset has loaded.
-    if values["model.freq_bins"] != FREQ_BINS:
-        raise ConfigError(f"model.freq_bins={values['model.freq_bins']}; the STFT yields "
-                          f"{FREQ_BINS} bins, so it must be {FREQ_BINS}")
-    return FREQ_BINS
+    values.update((key, _parse_value(key, raw)) for key, raw in overrides)
+    return values
 
 
 def model_config(values: dict) -> ModelConfig:
+    """The validated separator configuration."""
+    if values["model.recurrence"] == "none" and values["model.skip_kind"] == "gru":
+        raise ConfigError("model.recurrence=none asks for no recurrent layer, but "
+                          "model.skip_kind=gru puts a GRU on each skip")
     return separator_config(
-        source_count=len(source_names(values)),
-        freq_bins=_freq_bins(values),
-        channels=_int_triple(values["model.channels"], "model.channels"),
-        kernels=_int_triple(values["model.kernels"], "model.kernels"),
-        strides=_int_triple(values["model.strides"], "model.strides"),
+        source_count=len(values["data.sources"]),
+        freq_bins=FREQ_BINS,
+        channels=values["model.channels"],
+        kernels=values["model.kernels"],
+        strides=values["model.strides"],
         skip_kind=values["model.skip_kind"],
         recurrence=values["model.recurrence"],
         norm_kind=values["model.norm"],
@@ -143,23 +142,14 @@ def model_config(values: dict) -> ModelConfig:
 
 
 def enhancer_model_config(values: dict) -> ModelConfig:
-    return enhancer_config(
-        freq_bins=_freq_bins(values),
-        channels=_int_triple(values["model.channels"], "model.channels"),
-        kernels=_int_triple(values["model.kernels"], "model.kernels"),
-        strides=_int_triple(values["model.strides"], "model.strides"),
-        norm_kind=values["model.norm"],
-    )
+    """The validated per-source enhancer configuration."""
+    return enhancer_config(freq_bins=FREQ_BINS, channels=values["model.channels"],
+                           kernels=values["model.kernels"], strides=values["model.strides"],
+                           norm_kind=values["model.norm"])
 
 
 def train_config(values: dict) -> TrainConfig:
-    return TrainConfig(
-        batch_size=values["train.batch_size"],
-        lr_conv=values["train.lr_conv"],
-        lr_gru=values["train.lr_gru"],
-        max_epochs=values["train.max_epochs"],
-        patience=values["train.patience"],
-        seed=values["train.seed"],
-        epoch_batches=values["train.epoch_batches"],
-        gru_clip_norm=values["train.gru_clip_norm"],
-    )
+    """The validated training configuration: each field from its train.* key."""
+    cfg = TrainConfig(**{f.name: values[f"train.{f.name}"] for f in fields(TrainConfig)})
+    cfg.validate()
+    return cfg

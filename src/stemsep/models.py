@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .dsp import FREQ_BINS
+from .errors import ConfigError, CorruptCheckpointError, ShapeError
 from .layers import GRU, NORM_KINDS, Conv1d
 from .tensor import (
     Tensor,
@@ -41,7 +42,6 @@ SKIP_KINDS = ("none", "identity", "conv", "gru")
 RECURRENCE_KINDS = ("skips", "after_tconv4", "none")
 BUNDLE_MODES = ("separator", "residual", "enhancer")
 
-DEFAULT_FREQ_BINS = 1025
 DEFAULT_CHANNELS = (512, 256, 128)
 DEFAULT_KERNELS = (5, 5, 3)
 DEFAULT_STRIDES = (2, 2, 2)
@@ -52,10 +52,8 @@ class ModelConfig:
     """Declarative description of one separation/enhancement network.
 
     ``encoder_specs`` and ``decoder_specs`` are three (out_channels,
-    kernel, stride) tuples each; the decoder must mirror the encoder's
-    channel counts so skip additions type-check and its kernels and strides
-    in reverse order so lengths do too; its final layer emits
-    ``source_count * freq_bins`` channels.
+    kernel, stride) tuples each; the decoder must be
+    ``mirror_decoder(encoder_specs, source_count * freq_bins)``.
     """
 
     encoder_specs: tuple
@@ -63,8 +61,8 @@ class ModelConfig:
     skip_kind: str = "gru"
     recurrence: str = "skips"
     norm_kind: str = "weight_norm"
-    input_channels: int = DEFAULT_FREQ_BINS
-    freq_bins: int = DEFAULT_FREQ_BINS
+    input_channels: int = FREQ_BINS
+    freq_bins: int = FREQ_BINS
     source_count: int = 4
     leaky_slope: float = 0.01
 
@@ -82,22 +80,11 @@ class ModelConfig:
             for i, (channels, kernel, stride) in enumerate(specs):
                 if channels < 1 or kernel < 1 or stride < 1:
                     raise ConfigError(f"{side} layer {i + 1} has invalid spec {(channels, kernel, stride)}")
-        if self.decoder_specs[2][0] != self.source_count * self.freq_bins:
-            raise ConfigError(
-                f"decoder layer 3 emits {self.decoder_specs[2][0]} channels; "
-                f"expected source_count*freq_bins = {self.source_count * self.freq_bins}")
-        if self.decoder_specs[0][0] != self.encoder_specs[1][0]:
-            raise ConfigError(
-                f"decoder layer 1 emits {self.decoder_specs[0][0]} channels but the skip from "
-                f"encoder layer 2 carries {self.encoder_specs[1][0]}; they must match")
-        if self.decoder_specs[1][0] != self.encoder_specs[0][0]:
-            raise ConfigError(
-                f"decoder layer 2 emits {self.decoder_specs[1][0]} channels but the skip from "
-                f"encoder layer 1 carries {self.encoder_specs[0][0]}; they must match")
-        for i, (dec, enc) in enumerate(zip(self.decoder_specs, reversed(self.encoder_specs))):
-            if tuple(dec[1:]) != tuple(enc[1:]):
-                raise ConfigError(f"decoder layer {i + 1} has kernel, stride {tuple(dec[1:])}; "
-                                  f"it must mirror encoder layer {3 - i}'s {tuple(enc[1:])}")
+        mirror = mirror_decoder(self.encoder_specs, self.source_count * self.freq_bins)
+        for i, (spec, expected) in enumerate(zip(self.decoder_specs, mirror)):
+            if tuple(spec) != expected:
+                raise ConfigError(f"decoder layer {i + 1} is {tuple(spec)}; "
+                                  f"the mirror of the encoder needs {expected}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -113,29 +100,36 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
-def separator_config(source_count: int = 4, freq_bins: int = DEFAULT_FREQ_BINS,
+def mirror_decoder(encoder_specs, out_channels: int) -> tuple:
+    """Decoder layer i undoes encoder layer 4 - i's kernel and stride and
+    emits encoder layer 3 - i's channels (the last, ``out_channels``)."""
+    widths = [channels for channels, _, _ in encoder_specs[-2::-1]] + [out_channels]
+    return tuple((width, kernel, stride)
+                 for width, (_, kernel, stride) in zip(widths, encoder_specs[::-1]))
+
+
+def separator_config(source_count: int = 4, freq_bins: int = FREQ_BINS,
                      channels=DEFAULT_CHANNELS, kernels=DEFAULT_KERNELS,
                      strides=DEFAULT_STRIDES, skip_kind: str = "gru",
                      recurrence: str = "skips", norm_kind: str = "weight_norm",
                      residual: bool = False) -> ModelConfig:
-    """Build the standard mirrored bottleneck configuration.
+    """Build and validate the standard mirrored bottleneck configuration.
 
     In residual mode the input is the mixture concatenated with the
     previous iteration's running totals, so the input channel count is
     freq_bins * (1 + source_count).
     """
-    c1, c2, c3 = channels
-    k1, k2, k3 = kernels
-    s1, s2, s3 = strides
-    encoder = ((c1, k1, s1), (c2, k2, s2), (c3, k3, s3))
-    decoder = ((c2, k3, s3), (c1, k2, s2), (source_count * freq_bins, k1, s1))
+    encoder = tuple(zip(channels, kernels, strides, strict=True))
+    decoder = mirror_decoder(encoder, source_count * freq_bins)
     input_channels = freq_bins * (1 + source_count) if residual else freq_bins
-    return ModelConfig(encoder, decoder, skip_kind=skip_kind, recurrence=recurrence,
-                       norm_kind=norm_kind, input_channels=input_channels,
-                       freq_bins=freq_bins, source_count=source_count)
+    cfg = ModelConfig(encoder, decoder, skip_kind=skip_kind, recurrence=recurrence,
+                      norm_kind=norm_kind, input_channels=input_channels,
+                      freq_bins=freq_bins, source_count=source_count)
+    cfg.validate()
+    return cfg
 
 
-def enhancer_config(freq_bins: int = DEFAULT_FREQ_BINS, channels=DEFAULT_CHANNELS,
+def enhancer_config(freq_bins: int = FREQ_BINS, channels=DEFAULT_CHANNELS,
                     kernels=DEFAULT_KERNELS, strides=DEFAULT_STRIDES,
                     norm_kind: str = "weight_norm") -> ModelConfig:
     """Per-source enhancement network: same shell, convolution skips,
@@ -298,16 +292,20 @@ def build_enhancer(cfg: ModelConfig, rng=None) -> Separator:
 
 @dataclass
 class ResidualOutput:
-    """Per-iteration running totals (tape tensors) plus the realized
-    increments, stored as the exact floating-point differences of
-    consecutive totals so total[i] - total[i-1] == residual[i] bitwise."""
+    """Per-iteration running totals (tape tensors)."""
 
     totals: list
-    residuals: list
 
     @property
     def final(self) -> Tensor:
         return self.totals[-1]
+
+    @property
+    def residuals(self) -> list:
+        """The increments, computed on read as the exact differences of
+        consecutive totals (the first from zero)."""
+        data = [np.zeros_like(self.totals[0].data)] + [t.data for t in self.totals]
+        return [after - before for before, after in zip(data, data[1:])]
 
 
 def residual_forward(model: Separator, mixture_features, iterations: int,
@@ -315,8 +313,7 @@ def residual_forward(model: Separator, mixture_features, iterations: int,
     """Iterative refinement: start from all-zero totals, feed the mixture
     concatenated with the running totals, and accumulate the network's
     output into the totals each iteration."""
-    if iterations < 1:
-        raise ConfigError(f"residual iterations must be >= 1, got {iterations}")
+    ResidualConfig(iterations)  # refuses fewer than one
     mixture = mixture_features
     if not isinstance(mixture, Tensor):
         mixture = Tensor._wrap(np.asarray(mixture, dtype=model.dtype))
@@ -331,16 +328,13 @@ def residual_forward(model: Separator, mixture_features, iterations: int,
     channel_axis = mixture.data.ndim - 2
     totals_shape = mixture.data.shape[:-2] + (out_channels, t)
     total = astensor(np.zeros(totals_shape, dtype=mixture.data.dtype))
-    totals, residuals = [], []
-    previous_data = total.data
+    totals = []
     for _ in range(iterations):
         step_input = concat([mixture, total], axis=channel_axis)
         increment = model.forward(step_input, training=training)
         total = add(total, increment)
         totals.append(total)
-        residuals.append(total.data - previous_data)
-        previous_data = total.data
-    return ResidualOutput(totals, residuals)
+    return ResidualOutput(totals)
 
 
 @dataclass
@@ -409,13 +403,19 @@ def collect_state(bundle: ModelBundle) -> dict:
 
 
 def restore_state(bundle: ModelBundle, state: dict) -> None:
-    """Write a collected state back into the bundle's tensors and buffers."""
-    for name, p in bundle.named_parameters():
-        saved = state[name]
-        if saved.shape != p.data.shape:
-            raise ShapeError(f"state for {name} has shape {saved.shape}, expected {p.data.shape}")
-        p.data = saved.astype(p.data.dtype)
+    """Write a collected state back into the bundle's tensors and buffers;
+    a missing entry raises CorruptCheckpointError, a misshapen one ShapeError."""
     for prefix, layer in bundle.modules():
-        for name, _ in layer.named_buffers(prefix):
-            if name in state:
-                layer.load_buffer(name, np.asarray(state[name]))
+        for name, p in layer.named_parameters(prefix):
+            p.data = _saved(state, name, p.data).astype(p.data.dtype)
+        for name, buf in layer.named_buffers(prefix):
+            layer.load_buffer(name, _saved(state, name, buf))
+
+
+def _saved(state: dict, name: str, current: np.ndarray) -> np.ndarray:
+    if name not in state:
+        raise CorruptCheckpointError(f"saved state lacks {name!r}")
+    saved = np.asarray(state[name])
+    if saved.shape != current.shape:
+        raise ShapeError(f"state for {name} has shape {saved.shape}, expected {current.shape}")
+    return saved

@@ -324,9 +324,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def backward_rule(g):
         offset = 0
         for p, n in zip(parts, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offset, offset + n)
-            accumulate_grad(p, np.ascontiguousarray(g[tuple(idx)]))
+            if p.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(offset, offset + n)
+                # Copy: ascontiguousarray would return an axis-0 slice of g as a view.
+                hand_over_grad(p, np.array(g[tuple(idx)], order="C"))
             offset += n
 
     return record_op(out, tuple(parts), backward_rule)

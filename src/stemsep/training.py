@@ -101,7 +101,7 @@ def segment_songs(tracks, clip_seconds: float = 5.0, val_ratio: float = 0.1,
     as separate (still source-aligned) mono material. Returns the train
     SourcePool and the validation windows as per-window source dicts.
     Audio at another rate than the first song's, or than ``SAMPLE_RATE``,
-    raises DataError.
+    raises DataError; a clip shorter than one STFT window, ConfigError.
     """
     tracks = list(tracks)
     if not tracks:
@@ -113,7 +113,7 @@ def segment_songs(tracks, clip_seconds: float = 5.0, val_ratio: float = 0.1,
     val_tracks = [tracks[i] for i in order[n_train:]]
 
     sample_rate = tracks[0].mixture.sample_rate
-    clip_samples = int(round(clip_seconds * sample_rate))
+    clip_samples = clip_length(clip_seconds, sample_rate)
     for track in tracks:
         if any(clip.sample_rate != sample_rate for clip in (track.mixture, *track.stems.values())):
             raise DataError(f"song {track.name} is not at the first song's {sample_rate} Hz")
@@ -140,6 +140,14 @@ def segment_songs(tracks, clip_seconds: float = 5.0, val_ratio: float = 0.1,
     val_windows = [window for track in val_tracks for window in windows(track)]
 
     return SourcePool(sources, pool_clips, sample_rate, clip_samples), val_windows
+
+
+def clip_length(clip_seconds: float, sample_rate: int = SAMPLE_RATE) -> int:
+    """Samples per sub-clip; ConfigError below the one STFT window a clip needs."""
+    samples = int(round(clip_seconds * sample_rate))
+    if samples < dsp.WINDOW_SIZE:
+        raise ConfigError(f"a {clip_seconds} s clip is shorter than one STFT window")
+    return samples
 
 
 def split_counts(n_songs: int, val_ratio: float = 0.1) -> tuple[int, int]:

@@ -1,7 +1,10 @@
 """CLI verbs end to end against a synthetic miniature dataset, plus exit
 codes and the config override surface."""
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +15,14 @@ from stemsep.audio_io import SOURCES, AudioClip, read_wav, write_wav
 from stemsep import cli
 from stemsep.checkpoint import load_checkpoint, make_checkpoint, save_checkpoint
 from stemsep.cli import main
-from stemsep.config import load_config_file, resolve
+from stemsep.config import (SCHEMA, defaults, enhancer_model_config, load_config_file,
+                            model_config, resolve, train_config)
 from stemsep import training
 from stemsep.errors import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, ConfigError, DivergenceError
-from stemsep.evaluate import read_spectrogram_dump
+from stemsep.evaluate import evaluate, read_spectrogram_dump, separate_song
 from stemsep.models import (
     ModelBundle,
+    ResidualConfig,
     build_enhancer,
     build_separator,
     enhancer_config,
@@ -34,11 +39,12 @@ TINY_MODEL_ARGS = [
 ]
 
 
-def small_checkpoint(tmp_path, sources=SOURCES, seed=0, mode="separator", meta=None):
+def small_checkpoint(tmp_path, sources=SOURCES, seed=0, mode="separator", meta=None,
+                     norm_kind="weight_norm"):
     with T.using_dtype(np.float32):
         cfg = separator_config(source_count=len(sources), freq_bins=dsp.FREQ_BINS,
                                channels=(8, 6, 4), kernels=(3, 3, 2), strides=(2, 2, 2),
-                               skip_kind="identity")
+                               skip_kind="identity", norm_kind=norm_kind)
         enhancers = None
         if mode == "enhancer":
             enh_cfg = enhancer_config(freq_bins=dsp.FREQ_BINS, channels=(8, 6, 4),
@@ -285,16 +291,50 @@ def test_unusable_output_path_is_config_error_before_any_work(tmp_path, caplog, 
         out = tmp_path / "existing-directory"
         out.mkdir()
     argv = _verb_argv(tmp_path, verb, out)
+    calls = _spy_on_work(monkeypatch)
+    assert main(argv) == EXIT_CONFIG
+    assert calls == []
+    assert str(out) in caplog.text
+    assert blocker.read_text() == "not a directory"
+
+
+def _spy_on_work(monkeypatch) -> list:
+    """Record the name of each input-reading call a verb makes."""
     calls = []
     for name in ("load_split", "load_track", "read_wav", "load_checkpoint", "evaluate"):
         def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+TRAINING_SETTINGS = [
+    ["--train.batch_size", "0"],
+    ["--model.channels", "0,4,4"],
+    ["--train.patience", "0"],
+    ["--data.clip_seconds", "0"],
+    ["--data.clip_seconds", "-1"],
+    ["--data.val_ratio", "1.5"],
+    ["--data.val_ratio", "-0.5"],
+]
+
+
+@pytest.mark.parametrize("verb,flags", [
+    *(("train", flags) for flags in TRAINING_SETTINGS),
+    *(("train-enhancer", flags) for flags in TRAINING_SETTINGS),
+    ("train", ["--train.mode", "residual", "--train.residual_iterations", "0"]),
+    ("train", ["--model.skip_kind", "gru", "--model.recurrence", "none"]),
+    ("separate", ["--model.channels", "8,6"]),
+    ("evaluate", ["--model.kernels", "3,x,2"]),
+    ("dump-spec", ["--model.strides", "2,2,2,2"]),
+], ids=lambda v: v if isinstance(v, str) else "_".join(flag.removeprefix("--") for flag in v))
+def test_invalid_setting_is_config_error_before_any_work(tmp_path, monkeypatch, verb, flags):
+    argv = _verb_argv(tmp_path, verb, tmp_path / "out") + flags
+    calls = _spy_on_work(monkeypatch)
     assert main(argv) == EXIT_CONFIG
     assert calls == []
-    assert str(out) in caplog.text
-    assert blocker.read_text() == "not a directory"
+    assert not (tmp_path / "out").exists()
 
 
 def test_inspect_checkpoint(tmp_path, capsys):
@@ -378,10 +418,11 @@ def _set(entry_edit):
     (_set(lambda h: [e.update(dtype="int32") for e in h["tensors"]]), b""),
     (_set(lambda h: h.update(mode="bogus")), b""),
     (_set(lambda h: None), b"\0\0\0\0"),
+    (_set(lambda h: h.update(mode="residual", residual=None)), b""),
 ], ids=["no-tensors", "tensors-not-list", "no-mode", "sources-not-list", "residual-keys",
         "model-config-keys", "object-dtype", "unparseable-dtype", "nbytes-mismatch",
         "shape-mismatch", "missing-parameter", "empty-manifest", "integer-parameters",
-        "unknown-mode", "trailing-bytes"])
+        "unknown-mode", "trailing-bytes", "residual-without-iterations"])
 def test_malformed_checkpoint_exits_data_error(tmp_path, caplog, edit, tail):
     ckpt_path = small_checkpoint(tmp_path)
     _rewrite_checkpoint(ckpt_path, edit, tail)
@@ -390,6 +431,40 @@ def test_malformed_checkpoint_exits_data_error(tmp_path, caplog, edit, tail):
                  "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_DATA
     assert "Traceback" not in caplog.text
+
+
+def _drop_tensor(suffix):
+    """Remove the first tensor whose name ends in ``suffix``, bytes included."""
+    def edit(header, data):
+        entry = next(e for e in header["tensors"] if e["name"].endswith(suffix))
+        header["tensors"].remove(entry)
+        for later in header["tensors"]:
+            if later["offset"] > entry["offset"]:
+                later["offset"] -= entry["nbytes"]
+        return data[:entry["offset"]] + data[entry["offset"] + entry["nbytes"]:]
+    return edit
+
+
+def _reshape_first(suffix, shape):
+    return _set(lambda h: next(e for e in h["tensors"] if e["name"].endswith(suffix))
+                .update(shape=shape))
+
+
+@pytest.mark.parametrize("edit,code", [
+    (_drop_tensor("running_mean"), EXIT_DATA),
+    (_reshape_first("running_mean", [2, 3]), EXIT_CONFIG),
+], ids=["missing-buffer", "misshapen-buffer"])
+def test_malformed_batch_norm_state_names_the_buffer(tmp_path, caplog, edit, code):
+    # Buffers are checked as parameters are: a missing one is corrupt data,
+    # a misshapen one does not fit the model the header describes.
+    ckpt_path = small_checkpoint(tmp_path, norm_kind="batch_norm")
+    _rewrite_checkpoint(ckpt_path, edit)
+    write_wav(tmp_path / "song.wav", AudioClip.silence(22050), fmt="float32")
+    code_seen = main(["separate", "--checkpoint", str(ckpt_path),
+                      "--input", str(tmp_path / "song.wav"), "--out-dir", str(tmp_path / "o")])
+    assert code_seen == code
+    assert "separator.decoder.0.bn.running_mean" in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 def test_checkpoint_with_unmirrored_decoder_exits_config_error(tmp_path, caplog):
@@ -451,6 +526,27 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("model.flux_capacitor = 1\n")
     with pytest.raises(ConfigError):
         load_config_file(cfg)
+
+
+def test_config_defaults_are_the_library_defaults():
+    values = defaults()
+    assert model_config(values) == separator_config()
+    assert enhancer_model_config(values) == enhancer_config()
+    assert train_config(values) == training.TrainConfig()
+    assert values["train.residual_iterations"] == ResidualConfig().iterations
+    assert values["data.sources"] == SOURCES
+    for key, function, name in [("data.clip_seconds", training.segment_songs, "clip_seconds"),
+                                ("data.val_ratio", training.segment_songs, "val_ratio"),
+                                ("separate.accompaniment", separate_song, "accompaniment"),
+                                ("eval.jobs", evaluate, "jobs")]:
+        assert values[key] == inspect.signature(function).parameters[name].default, key
+
+
+def test_readme_names_only_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"(?:`|--)((?:model|train|data|separate|eval)\.[a-z_]+)", readme))
+    assert "model.recurrence" in named
+    assert named <= set(SCHEMA), named - set(SCHEMA)
 
 
 def test_config_rejects_bad_choice(tmp_path):

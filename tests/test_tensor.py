@@ -343,6 +343,25 @@ def test_concat_and_slice_grads():
     assert np.array_equal(b.grad, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("shape,axis", [((3, 4), 0), ((3, 4), 1), ((2, 3, 4), 0), ((2, 3, 4), 1)])
+def test_concat_grads_share_no_memory_with_upstream(shape, axis):
+    # concat hands each part a fresh gradient; an axis-0 slice of g is
+    # contiguous, so handing it over uncopied would alias g.
+    rng = rng_for(f"concat-alias-{shape}-{axis}")
+    parts = [T.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(2)]
+    frozen = T.Tensor(rng.normal(size=shape))
+    tape = T.current_tape()
+    tape.clear()
+    out = T.concat([parts[0], frozen, parts[1]], axis=axis)
+    g = rng.normal(size=out.shape)
+    tape.ops[-1].backward(g)
+    tape.clear()
+    for part, piece in zip(parts, np.split(g, 3, axis=axis)[::2]):
+        assert np.array_equal(part.grad, piece)
+        assert not np.shares_memory(part.grad, g)
+    assert frozen.grad is None
+
+
 def test_stack_grads():
     xs = [T.Tensor(np.full(3, float(i)), requires_grad=True) for i in range(4)]
     out = T.stack(xs, axis=0)

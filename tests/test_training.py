@@ -327,6 +327,14 @@ def test_segment_songs_rejects_other_sample_rates(rates):
         segment_songs(tracks, clip_seconds=5.0, val_ratio=0.0, sources=SYNTH_SOURCES)
 
 
+@pytest.mark.parametrize("clip_seconds", [0.0, -1.0, 0.04])
+def test_segment_songs_rejects_clips_shorter_than_one_window(clip_seconds):
+    # 0.04 s is 1,764 samples at 44.1 kHz, short of one 2048-sample window.
+    tracks = [make_track(f"t{i}", 1.0, seed=i) for i in range(2)]
+    with pytest.raises(ConfigError, match="STFT window"):
+        segment_songs(tracks, clip_seconds=clip_seconds, sources=SYNTH_SOURCES)
+
+
 def test_segment_songs_holds_spectra_not_waveform_copies():
     # Windows are views of the songs, so building the pool allocates little
     # beyond the spectra it keeps (copied windows came to about 2.4x).
