@@ -27,13 +27,17 @@ MIXTURE_NAME = "mixture"
 
 @dataclass
 class AudioClip:
-    """Multi-channel audio: ``data`` is (channels, samples) float64."""
+    """Multi-channel audio: ``data`` is (channels, samples) float32 or
+    float64. Float32 data is kept as given; any other dtype is converted to
+    float64."""
 
     data: np.ndarray
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = np.asarray(self.data)
+        if arr.dtype != np.float32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2:
@@ -62,7 +66,7 @@ class AudioClip:
     def mono(self) -> "AudioClip":
         if self.channels == 1:
             return self
-        return AudioClip(self.data.mean(axis=0), self.sample_rate)
+        return AudioClip(self.data.mean(axis=0, dtype=np.float64), self.sample_rate)
 
     @staticmethod
     def silence(num_samples: int, channels: int = 1, sample_rate: int = SAMPLE_RATE) -> "AudioClip":

@@ -40,6 +40,7 @@ from .models import (
 )
 from .optim import Adam, build_optimizer
 from .tensor import using_dtype
+from .training import TrainConfig
 
 MAGIC = b"SSEP"
 FORMAT_MAJOR = 1
@@ -124,14 +125,16 @@ def bundle_from_checkpoint(ckpt: Checkpoint) -> ModelBundle:
 
 
 def optimizer_from_checkpoint(ckpt: Checkpoint, bundle: ModelBundle,
-                              gru_clip_norm: float | None = 5.0) -> Adam:
-    """Rebuild the two-group optimizer and restore its moment arrays."""
+                              gru_clip_norm: float | None = TrainConfig.gru_clip_norm) -> Adam:
+    """Rebuild the two-group optimizer and restore its moment arrays; a
+    group learning rate the checkpoint lacks is ``TrainConfig``'s."""
     if ckpt.optimizer is None:
         raise CheckpointMismatchError("checkpoint carries no optimizer state")
     conv_params, gru_params = bundle.trainable_groups()
+    group_lrs = ckpt.optimizer["group_lrs"]
     opt = build_optimizer(conv_params, gru_params,
-                          ckpt.optimizer["group_lrs"].get("conv", 1e-3),
-                          ckpt.optimizer["group_lrs"].get("gru", 1e-4),
+                          group_lrs.get("conv", TrainConfig.lr_conv),
+                          group_lrs.get("gru", TrainConfig.lr_gru),
                           gru_clip_norm=gru_clip_norm)
     opt.load_state_dict(ckpt.optimizer)
     return opt

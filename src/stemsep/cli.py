@@ -213,6 +213,9 @@ def cmd_dump_spec(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.overrides:
+        raise ConfigError("inspect-checkpoint takes no settings; unexpected arguments: "
+                          + " ".join(args.overrides))
     ckpt = load_checkpoint(args.checkpoint)
     total = sum(arr.size for arr in ckpt.params.values())
     print(f"mode: {ckpt.mode}")

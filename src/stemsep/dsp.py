@@ -218,14 +218,15 @@ def sdr(reference: AudioClip, estimate: AudioClip) -> float | None:
 
     10*log10(|s|^2 / |s - s_hat|^2), capped to [-100, +100] dB. Returns
     None ("undefined") when the reference is silent; silent channels of a
-    stereo reference are likewise excluded from the channel average.
+    stereo reference are likewise excluded from the channel average. Powers
+    are float64 sums whatever the clips' dtype.
     """
     if reference.num_samples != estimate.num_samples or reference.channels != estimate.channels:
         raise ShapeError(
             f"reference {reference.data.shape} and estimate {estimate.data.shape} do not align")
     values = []
     for c in range(reference.channels):
-        s = reference.channel(c)
+        s = reference.channel(c).astype(np.float64, copy=False)
         err = s - estimate.channel(c)
         signal_power = float(s @ s)
         if signal_power == 0.0:

@@ -2,13 +2,17 @@
 reports, and spectrogram dumps for qualitative inspection.
 
 Each channel of a song runs through the shared model whole: STFT ->
-log1p features -> network (residual runners iterate; enhancer runners
-refine per source). Synthesis then walks that channel's frames in blocks
-(``dsp.wiener_synthesis``): expm1 -> power-ratio masks against the
-mixture STFT (mixture phase) -> inverse STFT, written straight into one
-(sources, channels, samples) stem buffer of exactly the input length. The
-output is bit-identical to masking and inverting the whole song at once.
-The accompaniment is the sum of the non-vocal stems by default;
+log1p features in the model's dtype -> network (residual runners
+iterate; enhancer runners refine per source). Synthesis then walks that
+channel's frames in blocks (``dsp.wiener_synthesis``): expm1 ->
+power-ratio masks against the mixture STFT (mixture phase) -> inverse
+STFT, computed in float64 and written straight into one (sources,
+channels, samples) stem buffer of exactly the input length, held in the
+model's dtype. Each whole-song temporary (features, spectrum, estimates)
+is dropped as soon as it is used. A float64 model's stems are
+bit-identical to masking and inverting the whole song at once; a float32
+model's are that result rounded once to float32. The accompaniment, in
+the stems' dtype, is the sum of the non-vocal stems by default;
 ``accompaniment="all4"`` sums all four instead.
 """
 
@@ -50,14 +54,16 @@ def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "no
     if song.num_samples < dsp.WINDOW_SIZE:
         raise DataError(f"song is shorter than one {dsp.WINDOW_SIZE}-sample analysis window")
 
-    samples = np.empty((len(sources), song.channels, song.num_samples))
+    dtype = bundle.separator.dtype
+    samples = np.empty((len(sources), song.channels, song.num_samples), dtype=dtype)
     for c in range(song.channels):
         mixture_spec = dsp.stft(song.channel(c), sample_rate=song.sample_rate)
-        features = dsp.log1p_magnitude(mixture_spec)
+        features = dsp.log1p_magnitude(mixture_spec).astype(dtype, copy=False)
         with no_grad():
             estimates = bundle.predict(features).data.reshape((len(sources),) + features.shape)
+        del features
         dsp.wiener_synthesis(estimates, mixture_spec, samples[:, c])
-        del estimates  # freed before the next channel's forward, which sets the peak
+        del estimates, mixture_spec
 
     stems = {name: AudioClip(samples[s], song.sample_rate) for s, name in enumerate(sources)}
     stems["accompaniment"] = _accompaniment_stem(stems, sources, accompaniment, song)
@@ -68,12 +74,13 @@ def _accompaniment_stem(stems: dict, sources, accompaniment: str, like: AudioCli
     """Sum of the non-vocal stems (of all stems if none is non-vocal), or of
     every stem when ``accompaniment == "all4"``, rated as ``like``. Its
     shape is ``like``'s broadcast against the stems', so a mono mixture
-    with stereo stems gives a stereo sum."""
+    with stereo stems gives a stereo sum; its dtype is the stems'."""
     if accompaniment == "all4":
         parts = list(sources)
     else:
         parts = [name for name in sources if name != VOCALS] or list(sources)
-    data = np.zeros(np.broadcast_shapes(like.data.shape, *(stems[n].data.shape for n in parts)))
+    data = np.zeros(np.broadcast_shapes(like.data.shape, *(stems[n].data.shape for n in parts)),
+                    dtype=np.result_type(*(stems[n].data for n in parts)))
     for name in parts:
         data += stems[name].data
     return AudioClip(data, like.sample_rate)

@@ -21,6 +21,16 @@ from stemsep.audio_io import (
 from stemsep.errors import DataError
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16, np.int16])
+def test_audio_clip_keeps_float32_and_converts_the_rest_to_float64(dtype):
+    data = np.arange(-3, 3, dtype=dtype).reshape(2, 3)
+    clip = AudioClip(data)
+    assert clip.data.dtype == (np.float32 if dtype == np.float32 else np.float64)
+    assert np.array_equal(clip.data, data)
+    if dtype in (np.float32, np.float64):
+        assert clip.data is data  # no copy
+
+
 def test_float32_wav_roundtrip_is_bit_exact(tmp_path):
     samples = rng_for("f32").normal(size=(2, 5000)).astype(np.float32).astype(np.float64)
     clip = AudioClip(samples, 44100)

@@ -26,6 +26,7 @@ from stemsep.errors import (
 )
 from stemsep.models import ModelBundle, ResidualConfig, build_separator
 from stemsep.optim import build_optimizer
+from stemsep.training import TrainConfig
 
 
 def make_bundle(mode="separator", dtype=np.float32, seed=3):
@@ -103,6 +104,18 @@ def test_optimizer_state_round_trips(tmp_path):
     for name in opt._m:
         assert np.array_equal(restored_opt._m[name], opt._m[name])
         assert np.array_equal(restored_opt._v[name], opt._v[name])
+
+
+def test_optimizer_from_checkpoint_falls_back_to_train_config_defaults(tmp_path):
+    _, _, _, path = checkpoint_with_optimizer(tmp_path)
+    loaded = load_checkpoint(path)
+    loaded.optimizer["group_lrs"] = {}
+    opt = optimizer_from_checkpoint(loaded, bundle_from_checkpoint(loaded))
+    defaults = TrainConfig()
+    groups = {g["name"]: g for g in opt.groups}
+    assert groups["conv"]["lr"] == defaults.lr_conv
+    assert groups["gru"]["lr"] == defaults.lr_gru
+    assert groups["gru"]["clip_norm"] == defaults.gru_clip_norm
 
 
 def test_truncated_file_reports_corruption(tmp_path):

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from stemsep import dsp
 from stemsep import tensor as T
 from stemsep.audio_io import SOURCES, AudioClip, read_wav, write_wav
 from stemsep import cli
-from stemsep.checkpoint import load_checkpoint, make_checkpoint, save_checkpoint
+from stemsep.checkpoint import (bundle_from_checkpoint, load_checkpoint, make_checkpoint,
+                                save_checkpoint)
 from stemsep.cli import main
 from stemsep.config import (SCHEMA, defaults, enhancer_model_config, load_config_file,
                             model_config, resolve, train_config)
@@ -30,6 +32,7 @@ from stemsep.models import (
 )
 
 from test_audio_io import TRUNCATED_WAV, make_dataset
+from test_evaluate import whole_song_oracle
 
 TINY_MODEL_ARGS = [
     "--model.channels", "8,6,4",
@@ -143,6 +146,31 @@ def test_separate_verb_writes_stems(tmp_path):
         clip = read_wav(out_dir / f"{name}.wav")
         assert clip.num_samples == song.num_samples
         assert clip.channels == 2
+
+
+@pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+def test_separate_verb_writes_the_float64_oracle_stems(tmp_path, fmt):
+    # A float32 model's source stems are float32: the float64 synthesis
+    # rounded once. As float32 WAVs that is byte for byte what write_wav
+    # makes of the float64 stems; as PCM16 it is within one LSB.
+    ckpt_path = small_checkpoint(tmp_path)
+    write_wav(tmp_path / "song.wav",
+              AudioClip(0.1 * np.random.default_rng(2).normal(size=(2, 3 * 44100)), 44100),
+              fmt="float32")
+    out_dir = tmp_path / "stems"
+    assert main(["separate", "--checkpoint", str(ckpt_path), "--input", str(tmp_path / "song.wav"),
+                 "--out-dir", str(out_dir), "--format", fmt]) == EXIT_OK
+    oracle = whole_song_oracle(bundle_from_checkpoint(load_checkpoint(ckpt_path)),
+                               read_wav(tmp_path / "song.wav"), "nonvocal")
+    for name in SOURCES:
+        assert oracle[name].dtype == np.float64
+        want = tmp_path / "oracle" / f"{name}.wav"
+        write_wav(want, AudioClip(oracle[name]), fmt=fmt)
+        if fmt == "float32":
+            assert (out_dir / f"{name}.wav").read_bytes() == want.read_bytes(), name
+        else:
+            got = wavfile.read(out_dir / f"{name}.wav")[1].astype(np.int32)
+            assert np.max(np.abs(got - wavfile.read(want)[1])) <= 1, name
 
 
 def test_separate_verb_runs_an_enhancer_checkpoint(tmp_path):
@@ -343,6 +371,15 @@ def test_inspect_checkpoint(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "mode: separator" in printed
     assert "drums" in printed
+
+
+def test_inspect_checkpoint_refuses_stray_tokens(tmp_path, caplog, monkeypatch):
+    argv = ["inspect-checkpoint", "--checkpoint", str(small_checkpoint(tmp_path)),
+            "--bogus.key", "1"]
+    calls = _spy_on_work(monkeypatch)
+    assert main(argv) == EXIT_CONFIG
+    assert calls == []
+    assert "--bogus.key 1" in caplog.text
 
 
 def test_inspect_checkpoint_prints_training_history(tmp_path, capsys):

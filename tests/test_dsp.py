@@ -412,6 +412,19 @@ def test_sdr_stereo_averages_channels():
     assert dsp.sdr(ref, est) == pytest.approx(np.mean(per_channel), abs=1e-9)
 
 
+def test_sdr_and_mono_of_float32_clips_equal_their_float64_values():
+    rng = rng_for("sdr-float32")
+    ref32 = rng.normal(size=(2, 3000)).astype(np.float32)
+    est32 = (ref32 + 0.1 * rng.normal(size=(2, 3000))).astype(np.float32)
+    ref64, est64 = ref32.astype(np.float64), est32.astype(np.float64)
+    want = dsp.sdr(AudioClip(ref64), AudioClip(est64))
+    for ref, est in [(ref32, est32), (ref32, est64), (ref64, est32)]:
+        assert dsp.sdr(AudioClip(ref), AudioClip(est)) == want
+    mono = AudioClip(ref32).mono().data
+    assert mono.dtype == np.float64
+    assert np.array_equal(mono, AudioClip(ref64).mono().data)
+
+
 def test_sdr_length_mismatch_rejected():
     with pytest.raises(ShapeError):
         dsp.sdr(AudioClip(np.ones(10)), AudioClip(np.ones(11)))
