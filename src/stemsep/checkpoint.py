@@ -1,5 +1,5 @@
-"""Versioned binary checkpoints: model configuration, parameters, buffers,
-optimizer state, and training metadata with bitwise round-trips.
+"""Versioned binary checkpoints: model configuration, parameters, buffers
+and training metadata with bitwise round-trips.
 
 Layout: a 4-byte magic, u16 format major/minor, a u64 header length, a
 canonical JSON header (sorted keys, no whitespace), then the raw little-
@@ -8,6 +8,12 @@ save -> load -> save byte-identical; loading refuses newer majors and
 reports the byte offset of any truncation or corruption it detects. A
 save writes a temporary file beside the target and renames it into place,
 so an interrupted save leaves the previous checkpoint intact.
+
+No optimizer moments are stored: no verb resumes training. The header
+keeps the optimizer's step count, betas, epsilon and group learning rates
+as run history. Format 1.0 files also hold the Adam moments as ``opt.``
+tensors; loading checks their manifest entries and skips their bytes
+unread.
 """
 
 from __future__ import annotations
@@ -38,13 +44,12 @@ from .models import (
     collect_state,
     restore_state,
 )
-from .optim import Adam, build_optimizer
+from .optim import Adam
 from .tensor import using_dtype
-from .training import TrainConfig
 
 MAGIC = b"SSEP"
 FORMAT_MAJOR = 1
-FORMAT_MINOR = 0
+FORMAT_MINOR = 1
 _HEADER_STRUCT = struct.Struct("<4sHHQ")
 
 
@@ -58,7 +63,7 @@ class Checkpoint:
     params: dict
     residual: ResidualConfig | None = None
     enhancer_config: ModelConfig | None = None
-    optimizer: dict | None = None
+    optimizer: dict | None = None  # t, beta1, beta2, eps and group_lrs; no moment arrays
     meta: dict | None = None
 
     def dtype(self) -> np.dtype:
@@ -82,15 +87,13 @@ def _plain(value):
 
 def make_checkpoint(bundle: ModelBundle, optimizer: Adam | None = None,
                     meta: dict | None = None) -> Checkpoint:
-    """Snapshot a bundle (and optionally its optimizer) into a Checkpoint."""
+    """Snapshot a bundle into a Checkpoint; of ``optimizer`` only the step
+    count, betas, epsilon and group learning rates are kept."""
     opt_state = None
     if optimizer is not None:
-        raw = optimizer.state_dict()
-        opt_state = {
-            "t": raw["t"], "beta1": raw["beta1"], "beta2": raw["beta2"], "eps": raw["eps"],
-            "group_lrs": dict(raw["group_lrs"]),
-            "arrays": {name: arr.copy() for name, arr in raw["arrays"].items()},
-        }
+        opt_state = {"t": int(optimizer.t), "beta1": float(optimizer.beta1),
+                     "beta2": float(optimizer.beta2), "eps": float(optimizer.eps),
+                     "group_lrs": {g["name"]: float(g["lr"]) for g in optimizer.groups}}
     return Checkpoint(
         model_config=bundle.separator.cfg,
         mode=bundle.mode,
@@ -124,38 +127,14 @@ def bundle_from_checkpoint(ckpt: Checkpoint) -> ModelBundle:
     return bundle
 
 
-def optimizer_from_checkpoint(ckpt: Checkpoint, bundle: ModelBundle,
-                              gru_clip_norm: float | None = TrainConfig.gru_clip_norm) -> Adam:
-    """Rebuild the two-group optimizer and restore its moment arrays; a
-    group learning rate the checkpoint lacks is ``TrainConfig``'s."""
-    if ckpt.optimizer is None:
-        raise CheckpointMismatchError("checkpoint carries no optimizer state")
-    conv_params, gru_params = bundle.trainable_groups()
-    group_lrs = ckpt.optimizer["group_lrs"]
-    opt = build_optimizer(conv_params, gru_params,
-                          group_lrs.get("conv", TrainConfig.lr_conv),
-                          group_lrs.get("gru", TrainConfig.lr_gru),
-                          gru_clip_norm=gru_clip_norm)
-    opt.load_state_dict(ckpt.optimizer)
-    return opt
-
-
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def _manifest_arrays(ckpt: Checkpoint) -> list:
-    entries = [("param." + name, arr) for name, arr in sorted(ckpt.params.items())]
-    if ckpt.optimizer is not None:
-        entries.extend(("opt." + name, arr)
-                       for name, arr in sorted(ckpt.optimizer["arrays"].items()))
-    return entries
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arrays = _manifest_arrays(ckpt)
+    arrays = [("param." + name, arr) for name, arr in sorted(ckpt.params.items())]
     manifest = []
     offset = 0
     for name, arr in arrays:
@@ -164,13 +143,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         manifest.append({"name": name, "dtype": str(arr.dtype),
                          "shape": list(arr.shape), "offset": offset, "nbytes": nbytes})
         offset += nbytes
-    opt_header = None
-    if ckpt.optimizer is not None:
-        opt_header = {"t": int(ckpt.optimizer["t"]),
-                      "beta1": float(ckpt.optimizer["beta1"]),
-                      "beta2": float(ckpt.optimizer["beta2"]),
-                      "eps": float(ckpt.optimizer["eps"]),
-                      "group_lrs": {k: float(v) for k, v in ckpt.optimizer["group_lrs"].items()}}
     header = {
         "format": {"major": FORMAT_MAJOR, "minor": FORMAT_MINOR},
         "mode": ckpt.mode,
@@ -178,7 +150,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "model_config": ckpt.model_config.to_dict(),
         "residual": {"iterations": ckpt.residual.iterations} if ckpt.residual else None,
         "enhancer_config": ckpt.enhancer_config.to_dict() if ckpt.enhancer_config else None,
-        "optimizer": opt_header,
+        "optimizer": ckpt.optimizer,
         "meta": _plain(ckpt.meta or {}),
         "tensors": manifest,
     }
@@ -257,56 +229,71 @@ def _tensor_entry(entry, offset: int, path) -> tuple:
 
 
 def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
+    """Read a checkpoint. Every header field and manifest entry is checked
+    against the file's size before any array is read; each parameter array
+    is then read straight into its own buffer, and any other tensor (a 1.0
+    file's optimizer moments) is skipped unread."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            ckpt = _read_checkpoint(fh, path)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
-    if len(blob) < _HEADER_STRUCT.size:
+    if expect_mode is not None and ckpt.mode != expect_mode:
+        raise CheckpointMismatchError(
+            f"checkpoint was trained in mode {ckpt.mode!r}, but {expect_mode!r} was requested")
+    return ckpt
+
+
+def _read_checkpoint(fh, path) -> Checkpoint:
+    size = os.fstat(fh.fileno()).st_size
+    if size < _HEADER_STRUCT.size:
         raise CorruptCheckpointError(
             f"checkpoint {path} truncated inside the fixed header "
-            f"({len(blob)} of {_HEADER_STRUCT.size} bytes)", offset=len(blob))
-    magic, major, minor, header_len = _HEADER_STRUCT.unpack_from(blob, 0)
+            f"({size} of {_HEADER_STRUCT.size} bytes)", offset=size)
+    magic, major, minor, header_len = _HEADER_STRUCT.unpack(fh.read(_HEADER_STRUCT.size))
     if magic != MAGIC:
         raise CorruptCheckpointError(f"{path} is not a checkpoint (bad magic {magic!r})", offset=0)
     if major > FORMAT_MAJOR:
         raise CheckpointVersionError(
             f"checkpoint format {major}.{minor} is newer than supported {FORMAT_MAJOR}.{FORMAT_MINOR}")
     header_end = _HEADER_STRUCT.size + header_len
-    if len(blob) < header_end:
+    if size < header_end:
         raise CorruptCheckpointError(
-            f"checkpoint {path} truncated inside the JSON header", offset=len(blob))
+            f"checkpoint {path} truncated inside the JSON header", offset=size)
     try:
-        header = json.loads(blob[_HEADER_STRUCT.size:header_end].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"unparseable checkpoint header: {exc}",
                                      offset=_HEADER_STRUCT.size)
 
     _check_header(header, path)
-    arrays = {}
+    entries = []
     end = header_end
     for entry in header["tensors"]:
         name, dtype, shape, nbytes = _tensor_entry(entry, end - header_end, path)
-        start, end = end, end + nbytes
-        if end > len(blob):
+        end += nbytes
+        if end > size:
             raise CorruptCheckpointError(
-                f"checkpoint {path} truncated inside tensor {name!r}", offset=len(blob))
-        arrays[name] = np.frombuffer(blob[start:end], dtype=dtype).reshape(shape).copy()
-    if len(blob) > end:
+                f"checkpoint {path} truncated inside tensor {name!r}", offset=size)
+        entries.append((name, dtype, shape, nbytes))
+    if size > end:
         raise CorruptCheckpointError(
-            f"checkpoint {path} has {len(blob) - end} trailing bytes after its last tensor",
+            f"checkpoint {path} has {size - end} trailing bytes after its last tensor",
             offset=end)
 
-    params = {name[len("param."):]: arr for name, arr in arrays.items()
-              if name.startswith("param.")}
-    opt_state = None
-    if header["optimizer"] is not None:
-        opt_state = dict(header["optimizer"])
-        opt_state["arrays"] = {name[len("opt."):]: arr for name, arr in arrays.items()
-                               if name.startswith("opt.")}
+    params = {}
+    for name, dtype, shape, nbytes in entries:  # the file is positioned at header_end
+        if not name.startswith("param."):
+            fh.seek(nbytes, os.SEEK_CUR)
+            continue
+        params[name[len("param."):]] = arr = np.empty(shape, dtype)
+        if fh.readinto(arr) != nbytes:
+            raise CorruptCheckpointError(
+                f"checkpoint {path} truncated inside tensor {name!r}", offset=fh.tell())
 
     try:
-        ckpt = Checkpoint(
+        return Checkpoint(
             model_config=ModelConfig.from_dict(header["model_config"]),
             mode=header["mode"],
             sources=tuple(header["sources"]),
@@ -314,16 +301,12 @@ def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
             residual=ResidualConfig(header["residual"]["iterations"]) if header["residual"] else None,
             enhancer_config=(ModelConfig.from_dict(header["enhancer_config"])
                              if header["enhancer_config"] else None),
-            optimizer=opt_state,
+            optimizer=header["optimizer"],
             meta=header["meta"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint {path} has a malformed configuration: {exc!r}",
                                      offset=_HEADER_STRUCT.size)
-    if expect_mode is not None and ckpt.mode != expect_mode:
-        raise CheckpointMismatchError(
-            f"checkpoint was trained in mode {ckpt.mode!r}, but {expect_mode!r} was requested")
-    return ckpt
 
 
 def parameter_fingerprint(source) -> str:

@@ -140,10 +140,11 @@ def cmd_train_enhancer(args) -> int:
     if base.mode != "separator":
         raise CheckpointMismatchError(
             f"enhancers train on top of a separator checkpoint, got mode {base.mode!r}")
-    sources = tuple(base.sources)
+    sources, dtype = tuple(base.sources), base.dtype()
     pool, val_windows = _train_windows(args.dataset, values, sources)
-    with using_dtype(base.dtype()):
-        frozen = bundle_from_checkpoint(base)
+    frozen = bundle_from_checkpoint(base)
+    del base  # the bundle holds its own copy of every parameter
+    with using_dtype(dtype):
         enhancers = [build_enhancer(enh_cfg, rng=values["train.seed"] + 1 + s)
                      for s in range(len(sources))]
         bundle = ModelBundle("enhancer", frozen.separator, enhancers=enhancers, sources=sources)
@@ -155,10 +156,10 @@ def cmd_train_enhancer(args) -> int:
 def cmd_separate(args) -> int:
     values = _resolved(args)
     _check_output(args.out_dir, directory=True)
-    ckpt = load_checkpoint(args.checkpoint, expect_mode=args.mode)
+    # Only the bundle outlives this line: the loaded copy is freed before separating.
+    bundle = bundle_from_checkpoint(load_checkpoint(args.checkpoint, expect_mode=args.mode))
     song = read_wav(args.input)
-    stems = separate_song(bundle_from_checkpoint(ckpt), song,
-                          accompaniment=values["separate.accompaniment"])
+    stems = separate_song(bundle, song, accompaniment=values["separate.accompaniment"])
     out_dir = Path(args.out_dir)
     for name, clip in stems.items():
         write_wav(out_dir / f"{name}.wav", clip, fmt=args.format)
@@ -176,8 +177,7 @@ def cmd_evaluate(args) -> int:
     sources = values["data.sources"] if args.estimates_dir else None
     report = evaluate(args.dataset, split=args.split, model=model,
                       estimates_dir=args.estimates_dir, sources=sources,
-                      accompaniment=values["separate.accompaniment"],
-                      jobs=values["eval.jobs"])
+                      accompaniment=values["separate.accompaniment"])
     csv_text = report.to_csv()
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

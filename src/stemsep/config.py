@@ -79,7 +79,6 @@ SCHEMA = {
     "data.clip_seconds": (_clip_seconds, 5.0, "sub-clip length, at least one STFT window"),
     "data.val_ratio": (_ratio, 0.1, "validation share of songs, in (0, 1)"),
     "separate.accompaniment": (_one_of(ACCOMPANIMENT_MODES), "nonvocal", "accompaniment rule"),
-    "eval.jobs": (int, 1, "parallel tracks during evaluation"),
 }
 
 

@@ -155,8 +155,9 @@ def istft(spec: ComplexSpectrogram) -> AudioClip:
 
 
 def log1p_magnitude(spec: ComplexSpectrogram) -> np.ndarray:
-    """The model's feature map: log(1 + |X|)."""
-    return np.log1p(np.abs(spec.data))
+    """The model's feature map: log(1 + |X|), computed in place in |X|."""
+    magnitude = np.abs(spec.data)
+    return np.log1p(magnitude, out=magnitude)
 
 
 def masked_frames(source_mags: np.ndarray, mixture_frames: np.ndarray) -> np.ndarray:

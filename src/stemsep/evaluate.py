@@ -18,7 +18,6 @@ the stems' dtype, is the sum of the non-vocal stems by default;
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -169,7 +168,7 @@ def _load_estimates(estimates_dir: Path, track: Track, sources, accompaniment: s
 
 
 def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
-             sources=None, accompaniment: str = "nonvocal", jobs: int = 1) -> EvalReport:
+             sources=None, accompaniment: str = "nonvocal") -> EvalReport:
     """Score every track of a split, via a model bundle or a directory of
     pre-rendered estimate stems (oracle evaluation). Tracks with missing
     stems are skipped and noted in the report."""
@@ -182,34 +181,28 @@ def evaluate(dataset_dir, split: str = "test", model=None, estimates_dir=None,
             from .audio_io import SOURCES
             sources = SOURCES
 
-    def run_one(track_dir: Path):
-        """The track's score rows, or None if its data is unusable."""
+    def score(track_dir: Path) -> list:
+        """The track's score rows; its arrays are freed on return."""
+        track = load_track(track_dir, sources=sources)
+        if model is not None:
+            estimates = separate_song(model, track.mixture, accompaniment=accompaniment)
+        else:
+            estimates = _load_estimates(Path(estimates_dir), track, sources, accompaniment)
+        return _score_track(track, estimates, sources, accompaniment)
+
+    rows, skipped = [], []
+    for track_dir in track_dirs(dataset_dir, split):  # sorted by name
         try:
-            track = load_track(track_dir, sources=sources)
-            if model is not None:
-                estimates = separate_song(model, track.mixture, accompaniment=accompaniment)
-            else:
-                estimates = _load_estimates(Path(estimates_dir), track, sources, accompaniment)
-            return _score_track(track, estimates, sources, accompaniment)
+            rows.extend(score(track_dir))
         except DataError as exc:
             log.warning("skipping track %s: %s", track_dir.name, exc)
-            return None
+            skipped.append(track_dir.name)
 
-    dirs = track_dirs(dataset_dir, split)
-    if jobs > 1 and model is not None:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, dirs))
-    else:
-        results = [run_one(d) for d in dirs]
-    rows = {d.name: r for d, r in zip(dirs, results) if r is not None}
-    skipped = [d.name for d, r in zip(dirs, results) if r is None]
-
-    flat = [row for name in sorted(rows) for row in rows[name]]
     echo = {"split": split, "accompaniment": accompaniment}
     if model is not None:
         echo["model"] = model.separator.cfg.to_dict()
         echo["mode"] = model.mode
-    return EvalReport(flat, skipped=sorted(skipped), config_echo=echo)
+    return EvalReport(rows, skipped=skipped, config_echo=echo)
 
 
 # ---------------------------------------------------------------------------

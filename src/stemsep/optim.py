@@ -103,19 +103,6 @@ class Adam:
             "arrays": arrays,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
-        for g in self.groups:
-            if g["name"] in state["group_lrs"]:
-                g["lr"] = float(state["group_lrs"][g["name"]])
-        for pname in self._m:
-            if "m." + pname in state["arrays"]:
-                self._m[pname] = np.array(state["arrays"]["m." + pname])
-                self._v[pname] = np.array(state["arrays"]["v." + pname])
-
 
 def build_optimizer(conv_params, gru_params, lr_conv: float, lr_gru: float,
                     gru_clip_norm: float | None = 5.0) -> Adam:

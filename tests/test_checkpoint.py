@@ -1,5 +1,10 @@
 """Checkpoint format: bitwise round-trips, corruption and version
-handling, cross-mode mismatch, forward-pass restoration."""
+handling, cross-mode mismatch, forward-pass restoration, format 1.0
+files, and the loader's memory."""
+
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,6 @@ from stemsep.checkpoint import (
     bundle_from_checkpoint,
     load_checkpoint,
     make_checkpoint,
-    optimizer_from_checkpoint,
     parameter_fingerprint,
     save_checkpoint,
 )
@@ -24,9 +28,8 @@ from stemsep.errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
 )
-from stemsep.models import ModelBundle, ResidualConfig, build_separator
+from stemsep.models import ModelBundle, ResidualConfig, build_separator, collect_state
 from stemsep.optim import build_optimizer
-from stemsep.training import TrainConfig
 
 
 def make_bundle(mode="separator", dtype=np.float32, seed=3):
@@ -95,27 +98,23 @@ def test_config_fields_round_trip(tmp_path):
     assert loaded.meta["best_val_loss"] == 0.5
 
 
-def test_optimizer_state_round_trips(tmp_path):
+def manifest_names(path) -> list:
+    """The tensor names in a checkpoint file's manifest, in file order."""
+    blob = Path(path).read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    return [entry["name"] for entry in json.loads(blob[16:16 + header_len])["tensors"]]
+
+
+def test_saved_optimizer_is_its_scalars_and_the_file_only_parameters(tmp_path):
     bundle, opt, _, path = checkpoint_with_optimizer(tmp_path)
-    loaded_ckpt = load_checkpoint(path)
-    restored_bundle = bundle_from_checkpoint(loaded_ckpt)
-    restored_opt = optimizer_from_checkpoint(loaded_ckpt, restored_bundle)
-    assert restored_opt.t == opt.t
-    for name in opt._m:
-        assert np.array_equal(restored_opt._m[name], opt._m[name])
-        assert np.array_equal(restored_opt._v[name], opt._v[name])
-
-
-def test_optimizer_from_checkpoint_falls_back_to_train_config_defaults(tmp_path):
-    _, _, _, path = checkpoint_with_optimizer(tmp_path)
+    state = collect_state(bundle)
+    assert manifest_names(path) == sorted("param." + name for name in state)
+    header_len = int.from_bytes(path.read_bytes()[8:16], "little")
+    assert path.stat().st_size == 16 + header_len + sum(arr.nbytes for arr in state.values())
     loaded = load_checkpoint(path)
-    loaded.optimizer["group_lrs"] = {}
-    opt = optimizer_from_checkpoint(loaded, bundle_from_checkpoint(loaded))
-    defaults = TrainConfig()
-    groups = {g["name"]: g for g in opt.groups}
-    assert groups["conv"]["lr"] == defaults.lr_conv
-    assert groups["gru"]["lr"] == defaults.lr_gru
-    assert groups["gru"]["clip_norm"] == defaults.gru_clip_norm
+    assert loaded.optimizer == {"t": opt.t, "beta1": opt.beta1, "beta2": opt.beta2,
+                                "eps": opt.eps, "group_lrs": {"conv": 1e-3, "gru": 1e-4}}
+    assert loaded.optimizer["t"] == 1
 
 
 def test_truncated_file_reports_corruption(tmp_path):
@@ -259,3 +258,65 @@ def test_truncated_or_mutated_checkpoint_loads_or_raises_checkpoint_error(
         load_checkpoint(path)
     except CheckpointError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# format 1.0 files and the loader's memory
+
+# Written by the format 1.0 writer, which also stored Adam's moments as
+# ``opt.`` tensors: tiny_config(skip_kind="identity", freq_bins=64) built
+# at rng 3, after one Adam step (lrs 1e-3 / 1e-4) on standard normal
+# gradients from default_rng(0), saved with meta {"seed": 3, "step": 1}.
+LEGACY = Path(__file__).resolve().parent / "data" / "legacy_1_0.ssck"
+LEGACY_FINGERPRINT = "5982f0a6dbd3865d5f1a8a22ea20e73029bca61e7114e432b9a39449a8e05aba"
+
+
+def test_legacy_checkpoint_loads_to_its_recorded_fingerprint():
+    names = manifest_names(LEGACY)
+    assert any(name.startswith("opt.") for name in names)
+    ckpt = load_checkpoint(LEGACY)
+    assert sorted("param." + name for name in ckpt.params) == [
+        name for name in names if name.startswith("param.")]
+    assert parameter_fingerprint(ckpt.params) == LEGACY_FINGERPRINT
+    assert parameter_fingerprint(bundle_from_checkpoint(ckpt)) == LEGACY_FINGERPRINT
+    assert ckpt.optimizer == {"t": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                              "group_lrs": {"conv": 1e-3, "gru": 1e-4}}
+    assert ckpt.meta == {"seed": 3, "step": 1}
+
+
+def header_parse_peak(path) -> int:
+    """tracemalloc's peak while reading and parsing only the JSON header."""
+    tracemalloc.start()
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            header_len = int.from_bytes(fh.read(16)[8:], "little")
+            json.loads(fh.read(header_len))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def fresh_checkpoint(tmp_path):
+    """A gru / batch-norm model over all 1025 bins, saved with its optimizer."""
+    with T.using_dtype(np.float32):
+        cfg = tiny_config(skip_kind="gru", norm_kind="batch_norm", freq_bins=1025)
+        bundle = ModelBundle("separator", build_separator(cfg, rng=5), sources=("a", "b"))
+    conv, gru = bundle.trainable_groups()
+    path = tmp_path / "fresh.ssck"
+    save_checkpoint(path, make_checkpoint(bundle, build_optimizer(conv, gru, 1e-3, 1e-4),
+                                          meta={"step": 0}))
+    return path
+
+
+@pytest.mark.parametrize("which", ["legacy", "fresh"])
+def test_load_peaks_at_the_parameters_plus_one_array(tmp_path, which):
+    path = LEGACY if which == "legacy" else fresh_checkpoint(tmp_path)
+    sizes = [arr.nbytes for arr in load_checkpoint(path).params.values()]
+    header = header_parse_peak(path)
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= header + sum(sizes) + max(sizes)

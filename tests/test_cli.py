@@ -4,6 +4,7 @@ codes and the config override surface."""
 import inspect
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from stemsep.config import (SCHEMA, defaults, enhancer_model_config, load_config
                             model_config, resolve, train_config)
 from stemsep import training
 from stemsep.errors import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, ConfigError, DivergenceError
-from stemsep.evaluate import evaluate, read_spectrogram_dump, separate_song
+from stemsep.evaluate import read_spectrogram_dump, separate_song
 from stemsep.models import (
     ModelBundle,
     ResidualConfig,
@@ -183,6 +184,25 @@ def test_separate_verb_runs_an_enhancer_checkpoint(tmp_path):
     assert code == EXIT_OK
     for name in list(SOURCES) + ["accompaniment"]:
         assert read_wav(out_dir / f"{name}.wav").num_samples == song.num_samples
+
+
+def test_separate_holds_no_checkpoint_while_separating(tmp_path, monkeypatch):
+    argv = _verb_argv(tmp_path, "separate", tmp_path / "stems")
+    loaded, alive = [], []
+
+    def load_spy(*args, _real=cli.load_checkpoint, **kwargs):
+        ckpt = _real(*args, **kwargs)
+        loaded.append(weakref.ref(ckpt))
+        return ckpt
+
+    def separate_spy(*args, _real=cli.separate_song, **kwargs):
+        alive.extend(ref() is not None for ref in loaded)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_spy)
+    monkeypatch.setattr(cli, "separate_song", separate_spy)
+    assert main(argv) == EXIT_OK
+    assert alive == [False]
 
 
 def test_separate_mode_mismatch_exit_code(tmp_path):
@@ -355,6 +375,7 @@ TRAINING_SETTINGS = [
     ("train", ["--model.skip_kind", "gru", "--model.recurrence", "none"]),
     ("separate", ["--model.channels", "8,6"]),
     ("evaluate", ["--model.kernels", "3,x,2"]),
+    ("evaluate", ["--eval.jobs", "2"]),
     ("dump-spec", ["--model.strides", "2,2,2,2"]),
 ], ids=lambda v: v if isinstance(v, str) else "_".join(flag.removeprefix("--") for flag in v))
 def test_invalid_setting_is_config_error_before_any_work(tmp_path, monkeypatch, verb, flags):
@@ -574,8 +595,7 @@ def test_config_defaults_are_the_library_defaults():
     assert values["data.sources"] == SOURCES
     for key, function, name in [("data.clip_seconds", training.segment_songs, "clip_seconds"),
                                 ("data.val_ratio", training.segment_songs, "val_ratio"),
-                                ("separate.accompaniment", separate_song, "accompaniment"),
-                                ("eval.jobs", evaluate, "jobs")]:
+                                ("separate.accompaniment", separate_song, "accompaniment")]:
         assert values[key] == inspect.signature(function).parameters[name].default, key
 
 

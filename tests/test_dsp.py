@@ -204,6 +204,21 @@ def test_feature_map_inverse():
     assert np.allclose(back, mags, rtol=1e-6, atol=1e-6)
 
 
+def test_log1p_magnitude_is_bit_equal_and_peaks_at_one_result_array():
+    spec = dsp.stft(rng_for("log1p-memory").normal(size=samples_for_frames(200)),
+                    sample_rate=44100)
+    oracle = np.log1p(np.abs(spec.data))
+    tracemalloc.start()
+    try:
+        features = dsp.log1p_magnitude(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features.dtype == np.float64
+    assert np.array_equal(features.view(np.uint64), oracle.view(np.uint64))
+    assert features.nbytes <= peak <= features.nbytes + 4096
+
+
 def magnitude_from_features(features):
     """Invert the feature map back to magnitudes, clipping the negative
     excursions a leaky output nonlinearity can produce."""

@@ -318,14 +318,6 @@ def test_evaluate_requires_exactly_one_input(tmp_path):
                  estimates_dir=tmp_path / "test")
 
 
-def test_evaluate_parallel_matches_serial(tmp_path):
-    make_dataset(tmp_path, seconds=0.3, tracks=("alpha", "beta", "gamma"))
-    bundle = full_bins_bundle()
-    serial = evaluate(tmp_path, split="test", model=bundle)
-    parallel = evaluate(tmp_path, split="test", model=bundle, jobs=3)
-    assert serial.to_csv() == parallel.to_csv()
-
-
 def test_evaluate_is_pure_with_respect_to_the_model(tmp_path):
     from stemsep.checkpoint import parameter_fingerprint
 
