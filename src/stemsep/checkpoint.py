@@ -34,6 +34,7 @@ from .errors import (
     CorruptCheckpointError,
     DataError,
 )
+from .layers import ZeroInit
 from .models import (
     BUNDLE_MODES,
     ModelBundle,
@@ -107,19 +108,22 @@ def make_checkpoint(bundle: ModelBundle, optimizer: Adam | None = None,
 
 
 def bundle_from_checkpoint(ckpt: Checkpoint) -> ModelBundle:
-    """Rebuild the models and load every parameter bitwise."""
+    """Rebuild the models and load every parameter bitwise. The models are
+    built without drawing an initialisation, and their parameters are the
+    checkpoint's arrays, not copies."""
     if not ckpt.params:
         raise CorruptCheckpointError("checkpoint holds no parameter tensors")
     if ckpt.dtype() not in (np.float32, np.float64):
         raise CorruptCheckpointError(f"checkpoint parameters have dtype {ckpt.dtype()}, "
                                      "expected float32 or float64")
+    undrawn = ZeroInit(ckpt.dtype())
     with using_dtype(ckpt.dtype()):
-        separator = build_separator(ckpt.model_config, rng=0)
+        separator = build_separator(ckpt.model_config, rng=undrawn)
         enhancers = None
         if ckpt.mode == "enhancer":
             if ckpt.enhancer_config is None:
                 raise CheckpointMismatchError("enhancer checkpoint is missing the enhancer config")
-            enhancers = [build_enhancer(ckpt.enhancer_config, rng=0)
+            enhancers = [build_enhancer(ckpt.enhancer_config, rng=undrawn)
                          for _ in range(ckpt.model_config.source_count)]
         bundle = ModelBundle(ckpt.mode, separator, enhancers=enhancers,
                              residual=ckpt.residual, sources=tuple(ckpt.sources))
@@ -228,15 +232,17 @@ def _tensor_entry(entry, offset: int, path) -> tuple:
     return name, dtype, shape, nbytes
 
 
-def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
+def load_checkpoint(path, expect_mode: str | None = None, arrays: bool = True) -> Checkpoint:
     """Read a checkpoint. Every header field and manifest entry is checked
     against the file's size before any array is read; each parameter array
     is then read straight into its own buffer, and any other tensor (a 1.0
-    file's optimizer moments) is skipped unread."""
+    file's optimizer moments) is skipped unread. With ``arrays=False``
+    nothing past the manifest is read: each parameter is a read-only,
+    zero-stride stand-in of its manifest shape and dtype."""
     path = Path(path)
     try:
         with open(path, "rb", buffering=0) as fh:
-            ckpt = _read_checkpoint(fh, path)
+            ckpt = _read_checkpoint(fh, path, arrays)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     if expect_mode is not None and ckpt.mode != expect_mode:
@@ -245,7 +251,7 @@ def load_checkpoint(path, expect_mode: str | None = None) -> Checkpoint:
     return ckpt
 
 
-def _read_checkpoint(fh, path) -> Checkpoint:
+def _read_checkpoint(fh, path, arrays: bool) -> Checkpoint:
     size = os.fstat(fh.fileno()).st_size
     if size < _HEADER_STRUCT.size:
         raise CorruptCheckpointError(
@@ -286,6 +292,9 @@ def _read_checkpoint(fh, path) -> Checkpoint:
     for name, dtype, shape, nbytes in entries:  # the file is positioned at header_end
         if not name.startswith("param."):
             fh.seek(nbytes, os.SEEK_CUR)
+            continue
+        if not arrays:
+            params[name[len("param."):]] = np.broadcast_to(np.zeros((), dtype), shape)
             continue
         params[name[len("param."):]] = arr = np.empty(shape, dtype)
         if fh.readinto(arr) != nbytes:

@@ -216,7 +216,7 @@ def cmd_inspect(args) -> int:
     if args.overrides:
         raise ConfigError("inspect-checkpoint takes no settings; unexpected arguments: "
                           + " ".join(args.overrides))
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, arrays=False)  # counts and sizes from the manifest
     total = sum(arr.size for arr in ckpt.params.values())
     print(f"mode: {ckpt.mode}")
     print(f"sources: {', '.join(ckpt.sources)}")

@@ -1,18 +1,20 @@
 """Whole-song inference with Wiener post-processing, SDR evaluation
 reports, and spectrogram dumps for qualitative inspection.
 
-Each channel of a song runs through the shared model whole: STFT ->
-log1p features in the model's dtype -> network (residual runners
-iterate; enhancer runners refine per source). Synthesis then walks that
-channel's frames in blocks (``dsp.wiener_synthesis``): expm1 ->
-power-ratio masks against the mixture STFT (mixture phase) -> inverse
-STFT, computed in float64 and written straight into one (sources,
-channels, samples) stem buffer of exactly the input length, held in the
-model's dtype. Each whole-song temporary (features, spectrum, estimates)
-is dropped as soon as it is used. A float64 model's stems are
-bit-identical to masking and inverting the whole song at once; a float32
-model's are that result rounded once to float32. The accompaniment, in
-the stems' dtype, is the sum of the non-vocal stems by default;
+Each channel of a song runs through the shared model whole, in the
+model's precision from front to back: STFT (complex64 for a float32
+model) -> log1p features -> network (residual runners iterate; enhancer
+runners refine per source). Synthesis then walks that channel's frames in
+blocks (``dsp.wiener_synthesis``): expm1 -> power-ratio masks against the
+mixture STFT (mixture phase) -> inverse STFT, written straight into one
+(sources, channels, samples) stem buffer of exactly the input length.
+Each whole-song temporary (features, spectrum, estimates) is dropped as
+soon as it is used. A float64 model's stems are bit-identical to masking
+and inverting the whole song at once in float64; a float32 model's
+carry float32 rounding, which the model amplifies where it predicts
+near-silence (within 2e-6 of the peak of a float64 separation on a 120 s
+song with the default random-weight model). The accompaniment,
+in the stems' dtype, is the sum of the non-vocal stems by default;
 ``accompaniment="all4"`` sums all four instead.
 """
 
@@ -56,8 +58,8 @@ def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "no
     dtype = bundle.separator.dtype
     samples = np.empty((len(sources), song.channels, song.num_samples), dtype=dtype)
     for c in range(song.channels):
-        mixture_spec = dsp.stft(song.channel(c), sample_rate=song.sample_rate)
-        features = dsp.log1p_magnitude(mixture_spec).astype(dtype, copy=False)
+        mixture_spec = dsp.stft(song.channel(c), sample_rate=song.sample_rate, dtype=dtype)
+        features = dsp.log1p_magnitude(mixture_spec)
         with no_grad():
             estimates = bundle.predict(features).data.reshape((len(sources),) + features.shape)
         del features

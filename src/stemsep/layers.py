@@ -34,6 +34,18 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+class ZeroInit:
+    """Stands in for the ``rng`` of layers whose parameters are about to be
+    overwritten, as in a checkpoint restore: each draw is zeros in
+    ``dtype``, so building costs no random numbers and no cast."""
+
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        return np.zeros(size, dtype=self.dtype)
+
+
 # ---------------------------------------------------------------------------
 # Functional convolution ops
 

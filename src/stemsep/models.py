@@ -27,7 +27,7 @@ import numpy as np
 
 from .dsp import FREQ_BINS
 from .errors import ConfigError, CorruptCheckpointError, ShapeError
-from .layers import GRU, NORM_KINDS, Conv1d
+from .layers import GRU, NORM_KINDS, Conv1d, ZeroInit
 from .tensor import (
     Tensor,
     add,
@@ -271,8 +271,9 @@ def _same_padding(kernel: int) -> tuple[int, int]:
 
 
 def build_separator(cfg: ModelConfig, rng=None) -> Separator:
-    """Instantiate a separation network; ``rng`` may be a Generator or seed."""
-    if rng is not None and not isinstance(rng, np.random.Generator):
+    """Instantiate a separation network; ``rng`` may be a Generator, a seed,
+    or a ``ZeroInit`` for parameters that are about to be restored."""
+    if rng is not None and not isinstance(rng, (np.random.Generator, ZeroInit)):
         rng = np.random.default_rng(rng)
     return Separator(cfg, rng)
 
@@ -404,10 +405,12 @@ def collect_state(bundle: ModelBundle) -> dict:
 
 def restore_state(bundle: ModelBundle, state: dict) -> None:
     """Write a collected state back into the bundle's tensors and buffers;
-    a missing entry raises CorruptCheckpointError, a misshapen one ShapeError."""
+    a missing entry raises CorruptCheckpointError, a misshapen one ShapeError.
+    A parameter takes the state's own array when its dtype already matches,
+    so the state must not be modified afterwards; buffers are copied."""
     for prefix, layer in bundle.modules():
         for name, p in layer.named_parameters(prefix):
-            p.data = _saved(state, name, p.data).astype(p.data.dtype)
+            p.data = _saved(state, name, p.data).astype(p.data.dtype, copy=False)
         for name, buf in layer.named_buffers(prefix):
             layer.load_buffer(name, _saved(state, name, buf))
 

@@ -308,6 +308,42 @@ def fresh_checkpoint(tmp_path):
     return path
 
 
+# parameter_fingerprint of seeded builds, recorded before checkpoint
+# restores stopped drawing an initialisation: training's draws must not move.
+SEEDED_FINGERPRINTS = {
+    np.float32: "281f495e91e2f117a0211ef9355c106200df1f150f877713e33e06ad1dd7b16f",
+    np.float64: "965dedb084039e12c5bd587a65c24da2f9c72e7bf80e09d30dac517aa0bcc82e",
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_seeded_build_draws_the_recorded_initialisation(dtype):
+    with T.using_dtype(dtype):
+        cfg = tiny_config(recurrence="after_tconv4", norm_kind="batch_norm", freq_bins=1025)
+        assert parameter_fingerprint(build_separator(cfg, rng=5)) == SEEDED_FINGERPRINTS[dtype]
+
+
+@pytest.mark.parametrize("norm_kind", ["weight_norm", "batch_norm"])
+def test_bundle_from_checkpoint_peaks_at_the_parameters_plus_one_array(tmp_path, norm_kind):
+    with T.using_dtype(np.float32):
+        cfg = tiny_config(skip_kind="gru", norm_kind=norm_kind, freq_bins=1025)
+        bundle = ModelBundle("separator", build_separator(cfg, rng=5), sources=("a", "b"))
+    ckpt = make_checkpoint(bundle)
+    sizes = [arr.nbytes for arr in ckpt.params.values()]
+    tracemalloc.start()
+    try:
+        loaded = bundle_from_checkpoint(ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The zeros standing in for the parameters, one weight-norm square, and
+    # a few per-layer vectors (biases are built as float64 zeros and cast).
+    assert peak <= sum(sizes) + max(sizes) + 16384, (peak, sum(sizes))
+    assert parameter_fingerprint(loaded) == parameter_fingerprint(bundle)
+    for name, p in loaded.named_parameters():  # taken over, not copied
+        assert p.data is ckpt.params[name], name
+
+
 @pytest.mark.parametrize("which", ["legacy", "fresh"])
 def test_load_peaks_at_the_parameters_plus_one_array(tmp_path, which):
     path = LEGACY if which == "legacy" else fresh_checkpoint(tmp_path)

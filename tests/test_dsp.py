@@ -91,6 +91,26 @@ def test_stft_bit_equal_to_index_framing(seed, n):
     assert np.array_equal(dsp.stft(x, sample_rate=44100).data, stft_index_oracle(x))
 
 
+def test_stft_in_float32_is_complex64_and_holds_only_frames_and_spectrum():
+    # scipy.fft transforms float32 in single precision on every NumPy line;
+    # np.fft.rfft would return complex128 (NumPy 1.x) or build about five
+    # times the output in double-precision temporaries (NumPy 2.x).
+    x = rng_for("stft-float32").normal(size=samples_for_frames(400, 300)).astype(np.float32)
+    oracle = stft_index_oracle(x.astype(np.float64))
+    tracemalloc.start()
+    try:
+        spec = dsp.stft(x, sample_rate=44100, dtype=np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.data.dtype == np.complex64
+    windowed_frames = spec.frames * dsp.WINDOW_SIZE * 4
+    assert peak <= windowed_frames + spec.data.nbytes + 65536, peak
+    # Rounding of the transform is relative to the frame, not to each bin.
+    error = np.max(np.abs(spec.data - oracle)) / np.max(np.abs(oracle))
+    assert error <= 4 * np.finfo(np.float32).eps, error
+
+
 def test_stft_shorter_than_window_errors():
     with pytest.raises(DataError):
         dsp.stft(np.zeros(dsp.WINDOW_SIZE - 1), sample_rate=44100)
@@ -329,6 +349,25 @@ def whole_spectrogram_synthesis(features, mixture):
                      for masked in bins_major_wiener(mags, mixture)])
 
 
+def float32_envelope(n):
+    """Per-sample scale of float32 synthesis error for an n-sample signal:
+    rounding in a frame's spectrum spreads evenly over the frame, and the
+    overlap-add divides it by the synthesis envelope. Inside the signal
+    that is about 1; the last n mod hop samples are covered only by the
+    last frame's window tail, which decays towards 2e-6."""
+    last = (1 + n // dsp.HOP_SIZE - 1) * dsp.HOP_SIZE
+    scale = np.ones(n)
+    scale[last:] = dsp.hann_window()[dsp.HOP_SIZE:dsp.HOP_SIZE + n - last]
+    return scale
+
+
+# Float32 synthesis of float32 estimates against a complex64 STFT, within
+# this many float32 ulps of the float64 synthesis's peak, per sample
+# scaled by ``float32_envelope``: the worst over 1,000 seeds of the test
+# below was 3.1 ulps.
+SYNTHESIS_ULPS_32 = 4
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), sources=st.integers(1, 4),
        n=st.integers(dsp.WINDOW_SIZE, samples_for_frames(3 * BLOCK + 2)), single=st.booleans())
@@ -336,18 +375,44 @@ def whole_spectrogram_synthesis(features, mixture):
 @example(seed=2, sources=2, n=samples_for_frames(BLOCK), single=False)
 @example(seed=3, sources=3, n=samples_for_frames(BLOCK + 1, 1), single=True)
 def test_wiener_synthesis_bit_equal_to_whole_spectrogram(seed, sources, n, single):
+    # Float64 synthesis is the whole-spectrogram one bit for bit; float32
+    # synthesis (what separate_song runs for a float32 model) is bounded
+    # against that same float64 oracle.
     rng = np.random.default_rng(seed)
-    mixture = dsp.stft(rng.normal(size=n), sample_rate=44100)
+    signal = rng.normal(size=n)
+    mixture = dsp.stft(signal, sample_rate=44100)
     features = rng.normal(0.0, 1.5, size=(sources,) + mixture.data.shape)  # negative excursions
     features[:, rng.random(mixture.data.shape) < 0.05] = -np.inf  # magnitude 0: the floors bind
     features[0, 5, int(rng.integers(mixture.frames))] = np.nan
-    if single:
-        features = features.astype(np.float32)  # what separate_song passes
-    out = np.full((sources, n), 7.0)
-    dsp.wiener_synthesis(features, mixture, out)
-    assert np.array_equal(out, whole_spectrogram_synthesis(features, mixture),
-                          equal_nan=True)
+    dtype = np.float32 if single else np.float64
+    features = features.astype(dtype)
+    want = whole_spectrogram_synthesis(features, mixture)
+    out = np.full((sources, n), 7.0, dtype=dtype)
+    dsp.wiener_synthesis(features, dsp.stft(signal, sample_rate=44100, dtype=dtype), out)
     assert np.isnan(out).any()
+    if not single:
+        assert np.array_equal(out, want, equal_nan=True)
+        return
+    assert np.array_equal(np.isnan(out), np.isnan(want))
+    error = np.nan_to_num(np.abs(out - want)) * float32_envelope(n)
+    assert np.max(error) <= SYNTHESIS_ULPS_32 * np.finfo(np.float32).eps * np.nanmax(np.abs(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wiener_synthesis_of_loud_estimates_stays_finite(dtype):
+    # A log1p estimate of 60 is a magnitude of 1.1e26, whose square
+    # overflows float32: masks must not square it unscaled.
+    rng = rng_for("loud-estimate")
+    mixture = dsp.stft(rng.normal(size=samples_for_frames(2 * BLOCK, 7)), sample_rate=44100,
+                       dtype=dtype)
+    features = rng.normal(0.0, 1.0, size=(3,) + mixture.data.shape).astype(dtype)
+    features[0, 100, 10] = 60.0
+    features[:, 200, 20] = np.log1p(np.finfo(np.float32).max) - 0.01  # every source at the limit
+    out = np.empty((3, mixture.length), dtype=dtype)
+    dsp.wiener_synthesis(features, mixture, out)
+    assert np.isfinite(out).all()
+    back = dsp.istft(mixture).channel(0)
+    assert interior_rel_rms(back, out.sum(axis=0)) < 1e-6
 
 
 def test_wiener_synthesis_rejects_mismatched_shapes():
@@ -359,13 +424,15 @@ def test_wiener_synthesis_rejects_mismatched_shapes():
         dsp.wiener_synthesis(features, mixture, np.empty((3, mixture.length)))
 
 
-def synthesis_peak_bytes(frames, sources):
-    """tracemalloc's peak while ``wiener_synthesis`` runs over a song of
-    ``frames`` frames; inputs and the output buffer exist beforehand."""
+def synthesis_peak_bytes(frames, sources, dtype):
+    """tracemalloc's peak while ``wiener_synthesis`` runs in ``dtype`` over
+    a song of ``frames`` frames; inputs and the output buffer exist
+    beforehand."""
     rng = rng_for(f"synthesis-memory-{frames}")
-    mixture = dsp.stft(rng.normal(size=samples_for_frames(frames)), sample_rate=44100)
-    features = rng.random((sources,) + mixture.data.shape, dtype=np.float32)
-    out = np.empty((sources, mixture.length))
+    mixture = dsp.stft(rng.normal(size=samples_for_frames(frames)), sample_rate=44100,
+                       dtype=dtype)
+    features = rng.random((sources,) + mixture.data.shape, dtype=np.float32).astype(dtype)
+    out = np.empty((sources, mixture.length), dtype=dtype)
     tracemalloc.start()
     try:
         dsp.wiener_synthesis(features, mixture, out)
@@ -374,13 +441,29 @@ def synthesis_peak_bytes(frames, sources):
         tracemalloc.stop()
 
 
-def test_wiener_synthesis_working_memory_does_not_grow_with_frames():
+def test_wiener_synthesis_working_memory_does_not_grow_with_frames(monkeypatch):
+    # A complex64 mixture is masked and inverted in float32 blocks, a
+    # complex128 one in float64 blocks; neither grows with the song.
+    inverted = []
+
+    def irfft_spy(x, *args, _real=dsp.scipy.fft.irfft, **kwargs):
+        out = _real(x, *args, **kwargs)
+        inverted.append((x.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(dsp.scipy.fft, "irfft", irfft_spy)
     sources = 4
-    # One block's masked frames (complex128) and their irfft output (float64).
-    block_bytes = sources * BLOCK * (dsp.FREQ_BINS * 16 + dsp.WINDOW_SIZE * 8)
-    short, long = synthesis_peak_bytes(2 * BLOCK, sources), synthesis_peak_bytes(8 * BLOCK, sources)
-    assert short > block_bytes // 2  # the trace sees numpy's buffers
-    assert long - short <= block_bytes
+    for dtype in (np.float32, np.float64):
+        itemsize = np.dtype(dtype).itemsize
+        # One block's masked frames (complex) and their irfft output (real).
+        block_bytes = sources * BLOCK * (dsp.FREQ_BINS * 2 + dsp.WINDOW_SIZE) * itemsize
+        inverted.clear()
+        short = synthesis_peak_bytes(2 * BLOCK, sources, dtype)
+        long = synthesis_peak_bytes(8 * BLOCK, sources, dtype)
+        assert short > block_bytes // 2  # the trace sees numpy's buffers
+        assert long - short <= block_bytes
+        assert short <= 3 * block_bytes, (dtype, short / block_bytes)
+        assert set(inverted) == {(np.result_type(dtype, np.complex64), np.dtype(dtype))}
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from stemsep.models import (
 )
 
 from test_audio_io import TRUNCATED_WAV, make_dataset
-from test_dsp import BLOCK, samples_for_frames, whole_spectrogram_synthesis
+from test_dsp import BLOCK, float32_envelope, samples_for_frames, whole_spectrogram_synthesis
 
 
 def full_bins_bundle(mode="separator", sources=SOURCES, seed=0, dtype=np.float32):
@@ -149,11 +149,17 @@ SONG_LENGTHS = {
 }
 
 
-# A float32 accompaniment sums float32 stems in float32: each of its at
-# most three additions rounds once, so it stays within a few float32 ulps
-# of the float64 oracle sum. Over every case below and a 20 s stereo song
-# the worst gap was 0.80 eps32 of the oracle's peak (8.0e-8).
-ACCOMPANIMENT_ULPS_32 = 4 * np.finfo(np.float32).eps
+# A float32 model separates in float32 from its STFT on, so its stems and
+# accompaniment are bounded against the float64 oracle in float32 ulps of
+# the oracle's peak, per sample scaled by ``float32_envelope``. Float32
+# synthesis alone stays within 3 ulps (SYNTHESIS_ULPS_32); the rest is the
+# model's own response to features from a float32 STFT: this small random
+# model predicts near-silence for every source in some bins, where a mask
+# is a ratio of tiny magnitudes whose relative error is the estimate's
+# error over the estimate (the same 30 ulps with float64 synthesis of
+# those estimates). The worst over every case below was 122 ulps for a
+# source stem and 56 for an accompaniment.
+STEM_ULPS_32 = 160
 
 
 @pytest.mark.parametrize("length", SONG_LENGTHS)
@@ -161,10 +167,10 @@ ACCOMPANIMENT_ULPS_32 = 4 * np.finfo(np.float32).eps
 @pytest.mark.parametrize("mode", ["separator", "residual", "enhancer"])
 def test_separate_song_bit_equal_to_whole_song_oracle(mode, dtype, length):
     # Stems come back in the model's dtype: a float64 model's equal the
-    # oracle bit for bit, a float32 model's source stems equal the oracle
-    # rounded once to float32, and its accompaniment is bounded above.
+    # oracle bit for bit, a float32 model's are bounded (STEM_ULPS_32).
     bundle = full_bins_bundle(mode=mode, dtype=dtype)
     n = SONG_LENGTHS[length]
+    envelope = float32_envelope(n)
     for channels in (1, 2):
         song = AudioClip(0.2 * rng_for(f"oracle-{length}").normal(size=(channels, n)), 44100)
         for accompaniment in ("nonvocal", "all4"):
@@ -176,11 +182,9 @@ def test_separate_song_bit_equal_to_whole_song_oracle(mode, dtype, length):
                 assert got.dtype == dtype, case
                 if dtype == np.float64:
                     assert np.array_equal(got, want), case
-                elif name != "accompaniment":
-                    assert np.array_equal(got, want.astype(np.float32)), case
                 else:
-                    bound = ACCOMPANIMENT_ULPS_32 * np.max(np.abs(want))
-                    assert np.max(np.abs(got - want)) <= bound, case
+                    bound = STEM_ULPS_32 * np.finfo(np.float32).eps * np.max(np.abs(want))
+                    assert np.max(np.abs(got - want) * envelope) <= bound, case
 
 
 # tracemalloc's peak while separating 30 s of stereo, over the song's own
