@@ -74,8 +74,9 @@ class AudioClip:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a PCM16 or float32 WAV file at any rate into an AudioClip;
-    a file that does not parse raises DataError."""
+    """Read a PCM16 or float WAV file at any rate into an AudioClip: float
+    samples keep their dtype (a float32 file's clip is float32), PCM16
+    becomes float64 in [-1, 1). A file that does not parse raises DataError."""
     path = Path(path)
     try:
         rate, data = wavfile.read(path)
@@ -88,9 +89,7 @@ def read_wav(path) -> AudioClip:
     samples = data.T  # (channels, samples)
     if samples.dtype == np.int16:
         samples = samples.astype(np.float64) / 32768.0
-    elif samples.dtype in (np.float32, np.float64):
-        samples = samples.astype(np.float64)
-    else:
+    elif samples.dtype not in (np.float32, np.float64):
         raise DataError(f"unsupported WAV sample format {samples.dtype} in {path}")
     return AudioClip(samples, int(rate))
 
@@ -153,7 +152,8 @@ def load_track(track_dir, sources=SOURCES, require_stems: bool = True) -> Track:
     if mixture_path.exists():
         mixture = read_wav(mixture_path)
     elif stems and len(stems) == len(sources):
-        data = np.zeros_like(next(iter(stems.values())).data)
+        # Summed in float64 whatever the stems' dtype.
+        data = np.zeros(next(iter(stems.values())).data.shape)
         for clip in stems.values():
             data = data + clip.data
         mixture = AudioClip(data, next(iter(stems.values())).sample_rate)

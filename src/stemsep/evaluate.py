@@ -71,17 +71,19 @@ def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "no
     return stems
 
 
-def _accompaniment_stem(stems: dict, sources, accompaniment: str, like: AudioClip) -> AudioClip:
+def _accompaniment_stem(stems: dict, sources, accompaniment: str, like: AudioClip,
+                        dtype=None) -> AudioClip:
     """Sum of the non-vocal stems (of all stems if none is non-vocal), or of
     every stem when ``accompaniment == "all4"``, rated as ``like``. Its
     shape is ``like``'s broadcast against the stems', so a mono mixture
-    with stereo stems gives a stereo sum; its dtype is the stems'."""
+    with stereo stems gives a stereo sum; its dtype is ``dtype``, by default
+    the stems'."""
     if accompaniment == "all4":
         parts = list(sources)
     else:
         parts = [name for name in sources if name != VOCALS] or list(sources)
     data = np.zeros(np.broadcast_shapes(like.data.shape, *(stems[n].data.shape for n in parts)),
-                    dtype=np.result_type(*(stems[n].data for n in parts)))
+                    dtype=dtype or np.result_type(*(stems[n].data for n in parts)))
     for name in parts:
         data += stems[name].data
     return AudioClip(data, like.sample_rate)
@@ -145,7 +147,9 @@ class EvalReport:
 
 def _reference_stems(track: Track, sources, accompaniment: str) -> dict:
     refs = dict(track.stems)
-    refs["accompaniment"] = _accompaniment_stem(track.stems, sources, accompaniment, track.mixture)
+    # Scored in float64, whatever dtype the stem files hold.
+    refs["accompaniment"] = _accompaniment_stem(track.stems, sources, accompaniment, track.mixture,
+                                                np.float64)
     return refs
 
 
@@ -165,7 +169,7 @@ def _load_estimates(estimates_dir: Path, track: Track, sources, accompaniment: s
         estimates["accompaniment"] = read_wav(accomp_path)
     else:
         estimates["accompaniment"] = _accompaniment_stem(estimates, sources, accompaniment,
-                                                         track.mixture)
+                                                         track.mixture, np.float64)
     return estimates
 
 

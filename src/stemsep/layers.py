@@ -10,9 +10,17 @@ shifts. A convolution is one GEMM over the gathered input taps per
 batch item, landing directly in ``(C, T)`` layout. A transposed
 convolution with stride s is s interleaved stride-1 convolutions of its
 input, one per output phase (Dumoulin & Visin 2016), so it too gathers
-only input taps and runs one GEMM per phase; no output-sized tap buffer
-is ever built. The GRU's backward is backpropagation through time. Every
-layer takes ``(B, C, T)`` only; the model lifts a single ``(C, T)`` input.
+only input taps and runs one GEMM per phase and block of output frames;
+no output-sized tap buffer or phase product is ever built. The GRU's
+backward is backpropagation through time. Every layer takes ``(B, C, T)``
+only; the model lifts a single ``(C, T)`` input.
+
+The model's leaky ReLU is the epilogue of each convolution: bias, then
+``max(a, slope * a)`` in place on the product the GEMM has just written,
+and in the backward the upstream gradient is scaled by the slope where
+the activated output is negative, before the GEMMs. Under ``no_grad``,
+``Conv1d`` folds weight norm's per-channel scale into the GEMM weights
+instead of building the effective weight.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, accumulate_grad, astensor, record_op
+from .tensor import Tensor, accumulate_grad, astensor, grad_enabled, leaky_relu, record_op
 
 NORM_KINDS = ("weight_norm", "batch_norm")
 
@@ -95,13 +103,102 @@ def _summed_gemm(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return total
 
 
-def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int, int] = (0, 0)) -> Tensor:
+# Elements per pass of the activation epilogue, its gradient mask and the
+# weight-norm row norms: their scratch stays a few hundred kB whatever the
+# layer's size.
+SCRATCH_ELEMENTS = 1 << 16
+# Output frames per GEMM in the float32 forward of ``conv_transpose1d``: its
+# working set besides the output is one (C_out, frames) block. The default
+# model's last tconv (512 -> 4100, k5, s2, activated) over a 120 s channel,
+# float32, 2-vCPU box, medians of 7 alternating calls: blocks of 256, 512,
+# 768, 1024 and 2048 frames take 0.57, 0.51, 0.50, 0.48 and 0.47 s, and one
+# GEMM per phase 0.45 s; 512 frames is an 8.4 MB block there.
+TCONV_BLOCK_FRAMES = 512
+
+
+def _row_step(a: np.ndarray) -> int:
+    """Rows of a 2-D array per pass of about ``SCRATCH_ELEMENTS`` elements."""
+    return max(1, SCRATCH_ELEMENTS // max(a.shape[1], 1))
+
+
+def _leaky_rows(a: np.ndarray, slope: float, out: np.ndarray) -> None:
+    """``out = max(a, slope * a)`` for a 2-D ``a``, a few rows at a time
+    through a small scratch; ``out`` may be ``a``. For 0 <= slope <= 1 this
+    is the leaky ReLU, bit for bit ``tensor.leaky_relu``'s forward, signed
+    zeros and NaN included."""
+    step = _row_step(a)
+    scratch = np.empty((min(step, len(a)), a.shape[1]), dtype=a.dtype)
+    for r in range(0, len(a), step):
+        rows = a[r:r + step]
+        scaled = np.multiply(rows, slope, out=scratch[:len(rows)])
+        np.maximum(rows, scaled, out=out[r:r + step])
+
+
+def _mask_rows(g: np.ndarray, y: np.ndarray, slope: float) -> None:
+    """The leaky ReLU's backward read off its output ``y``: scale the 2-D
+    gradient ``g`` in place by ``slope`` where ``y`` is negative. The factor
+    ``max(y >= 0, slope)`` is exactly 1 or ``slope``, with no branch per
+    element. A negative subnormal input whose scaled value underflowed to
+    -0.0 reads as non-negative here, so its factor is 1 where the input's
+    sign would give ``slope``."""
+    step = _row_step(g)
+    keep = np.empty((min(step, len(g)), g.shape[1]), dtype=bool)
+    factor = np.empty(keep.shape, dtype=g.dtype)
+    for r in range(0, len(g), step):
+        n = len(g[r:r + step])
+        np.greater_equal(y[r:r + step], 0, out=keep[:n])
+        np.maximum(keep[:n], slope, out=factor[:n], dtype=g.dtype)
+        g[r:r + step] *= factor[:n]
+
+
+def _channel_norms(v: np.ndarray) -> np.ndarray:
+    """The L2 norm of each output channel's weights, computed a few channels
+    at a time; a zero norm raises ShapeError."""
+    flat = v.reshape(v.shape[0], -1)
+    step = _row_step(flat)
+    norms = np.concatenate([np.sqrt((rows * rows).sum(axis=1))
+                            for rows in (flat[r:r + step] for r in range(0, len(flat), step))])
+    if np.any(norms == 0.0):
+        raise ShapeError("weight_normalized: zero-norm direction tensor")
+    return norms
+
+
+def _gemm_weight(taps: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """(C_out, C_in, Q) taps as the C-contiguous (C_out, Q*C_in) GEMM weight,
+    each output channel times ``scale`` when one is given: the products of
+    scaling the whole weight first, without the scaled copy. Contiguous
+    either way, so that numpy runs the same product with and without
+    ``scale``."""
+    c_out, c_in, q = taps.shape
+    rows = taps.transpose(0, 2, 1)
+    if scale is None:
+        return np.ascontiguousarray(rows).reshape(c_out, q * c_in)
+    w = np.empty(rows.shape, dtype=np.result_type(taps, scale))
+    np.multiply(rows, scale[:, None, None], out=w)
+    return w.reshape(c_out, q * c_in)
+
+
+def _check_epilogue(slope, scale, *inputs) -> None:
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"leaky ReLU slope must lie in [0, 1], got {slope}")
+    if scale is not None and grad_enabled() and any(t.requires_grad for t in inputs):
+        raise ValueError("a folded weight scale has no backward; call under no_grad")
+
+
+def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int, int] = (0, 0),
+           slope: float | None = None, scale: np.ndarray | None = None) -> Tensor:
     """Valid cross-correlation along time with optional zero padding.
 
     ``weight`` has shape (out_channels, in_channels, kernel); output time
-    extent is floor((T + pad - K) / stride) + 1.
+    extent is floor((T + pad - K) / stride) + 1. ``slope`` applies a leaky
+    ReLU (0 <= slope <= 1) in place after the bias, and the backward
+    masks the upstream gradient by the output's sign before the GEMMs.
+    ``scale`` multiplies each output channel's weights as the GEMM weight
+    is built (weight norm folded in); it has no backward, so a call that
+    records a tape op refuses it.
     """
     x = _batched(x)
+    _check_epilogue(slope, scale, x, weight, bias)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
@@ -114,12 +211,19 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
     t_pad = padded.shape[2]
     t_out = (t_pad - kernel) // stride + 1
     cols = _gather_taps(padded, kernel, stride, t_out)                    # (B, K*C_in, T_out)
-    w2 = weight.data.transpose(0, 2, 1).reshape(c_out, kernel * c_in)    # (C_out, K*C_in)
+    del padded
+    w2 = _gemm_weight(weight.data, scale)                                 # (C_out, K*C_in)
     out_data = w2 @ cols
     out_data += bias.data[:, None]
+    if slope is not None:
+        for item in out_data:
+            _leaky_rows(item, slope, item)
     out = Tensor._wrap(out_data)
 
     def backward_rule(g):
+        if slope is not None:
+            for g_item, y_item in zip(g, out_data):
+                _mask_rows(g_item, y_item, slope)
         dw = _summed_gemm(g, cols).reshape(c_out, kernel, c_in).transpose(0, 2, 1)
         accumulate_grad(weight, np.ascontiguousarray(dw))
         accumulate_grad(bias, g.sum(axis=(0, 2)))
@@ -130,22 +234,48 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
     return record_op(out, (x, weight, bias), backward_rule)
 
 
+def _frame_spans(kept: int, frames: int, block: int | None) -> list:
+    """(lo, hi, end) for each GEMM of one tconv phase and batch item: output
+    frames lo .. hi - 1 come from the GEMM over tap columns lo .. end - 1.
+    Spans start every ``block`` frames (one span when ``block`` is None), a
+    tail narrower than half a block joins the span before it, and the last
+    GEMM runs to the phase's last column, as one whole-phase GEMM does. So
+    no GEMM is narrow unless the whole-phase one is: numpy computes one
+    column as a matrix-vector product, and OpenBLAS's sgemm rounds a
+    two-column call unlike a wide one."""
+    step = block or max(kept, 1)
+    starts = list(range(0, kept, step))
+    if len(starts) > 1 and kept - starts[-1] < step // 2:
+        starts.pop()
+    stops = starts[1:] + [kept]
+    return [(lo, hi, hi if hi < kept else frames) for lo, hi in zip(starts, stops)]
+
+
 def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
-                     length: int | None = None) -> Tensor:
+                     length: int | None = None, slope: float | None = None,
+                     scale: np.ndarray | None = None) -> Tensor:
     """Gradient-of-convolution semantics: output time = (T - 1) * stride + K,
     with overlapping contributions summed; ``length`` keeps the first frames.
 
     Output phase p (frames p, p + stride, ...) sees only taps p, p + stride,
     ..., so it is a stride-1 convolution of the input with those Q_p taps
-    reversed: one GEMM over the last Q_p blocks of the input's
-    Q = ceil(K / stride) stride-1 taps (padded by Q - 1 frames), whose
-    frames below ``length`` go into ``out[:, :, p::stride]``. Phases p >= K
-    hold only the bias. The backward splits the same way, with a zero
-    gradient past ``length``, and sums the phases' input-side products into
-    one tap buffer for ``_scatter_taps``. The GEMMs keep their full width,
-    so the kept frames, dx and dW equal the full op's bit for bit.
+    reversed: a GEMM of W_p over the last Q_p blocks of the input's
+    Q = ceil(K / stride) stride-1 taps (padded by Q - 1 frames), run per
+    batch item and per span of ``TCONV_BLOCK_FRAMES`` output frames below
+    ``length`` into one reused block buffer, whose bias and activation
+    epilogue writes ``out[:, :, p::stride]``. W_p exists only while its
+    phase runs. Phases p >= K hold only the bias. The backward splits the
+    same way, with a zero gradient past ``length``, and sums the phases'
+    input-side products into one tap buffer for ``_scatter_taps``; its
+    GEMMs keep their full width, so dx and dW equal the full op's bit for
+    bit, as do the kept frames wherever both split into the same spans
+    (always in float64, whose phases are one GEMM each). Each output frame
+    is one GEMM column; whether BLAS rounds a column alike in a block and in
+    a whole-phase GEMM depends on its kernels (OpenBLAS's sgemm does at the
+    default model's widths). ``slope`` and ``scale`` act as in ``conv1d``.
     """
     x = _batched(x)
+    _check_epilogue(slope, scale, x, weight, bias)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
@@ -159,28 +289,57 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
     pad = q - 1
     padded = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
     cols = _gather_taps(padded, q, 1, t + pad)                          # (B, Q*C_in, T+Q-1)
+    del padded
 
-    # phases[p] = (first tap row of cols, frame count, frames kept, W_p (C_out, Q_p*C_in))
+    def phase_weight(p):
+        """W_p (C_out, Q_p*C_in): taps p, p + stride, ... reversed."""
+        return _gemm_weight(weight.data[:, :, p::stride][:, :, ::-1], scale)
+
+    # phases[p] = (first tap row of cols, frame count, frames kept, GEMM spans)
+    # OpenBLAS's dgemm rounds a column differently with the call's width, so
+    # float64 keeps one GEMM per phase.
+    dt = np.result_type(xb, weight.data)
+    block = TCONV_BLOCK_FRAMES if dt == np.float32 else None
     phases = []
     for p in range(min(stride, kernel)):
-        taps = weight.data[:, :, p::stride][:, :, ::-1]                  # (C_out, C_in, Q_p)
-        q_p = taps.shape[2]
-        phases.append(((q - q_p) * c_in, t + q_p - 1, len(range(p, t_out, stride)),
-                       taps.transpose(0, 2, 1).reshape(c_out, q_p * c_in)))
+        q_p = len(range(p, kernel, stride))
+        frames, kept = t + q_p - 1, len(range(p, t_out, stride))
+        phases.append(((q - q_p) * c_in, frames, kept, _frame_spans(kept, frames, block)))
 
-    out_data = np.empty((b, c_out, t_out), dtype=np.result_type(xb, weight.data))
+    out_data = np.empty((b, c_out, t_out), dtype=dt)
     bias_col = bias.data[:, None]
-    for p, (row, frames, kept, w_p) in enumerate(phases):
-        np.add((w_p @ cols[:, row:, :frames])[:, :, :kept], bias_col,
-               out=out_data[:, :, p::stride])
-    for p in range(kernel, stride):
-        out_data[:, :, p::stride] = bias_col
+    widest = max(end - lo for *_, spans in phases for lo, _, end in spans)
+    buffer = np.empty(c_out * widest, dtype=dt)
+    for p, (row, _, _, spans) in enumerate(phases):
+        w_p = phase_weight(p)
+        for i in range(b):
+            dst = out_data[i, :, p::stride]
+            for lo, hi, end in spans:
+                prod = np.matmul(w_p, cols[i, row:, lo:end],
+                                 out=buffer[:c_out * (end - lo)].reshape(c_out, end - lo))
+                prod += bias_col
+                if slope is None:
+                    dst[:, lo:hi] = prod[:, :hi - lo]
+                else:
+                    _leaky_rows(prod[:, :hi - lo], slope, dst[:, lo:hi])
+        del w_p
+    del buffer
+    if kernel < stride:
+        fill = bias_col.astype(dt)
+        if slope is not None:
+            _leaky_rows(fill, slope, fill)
+        for p in range(kernel, stride):
+            out_data[:, :, p::stride] = fill
     out = Tensor._wrap(out_data)
 
     def backward_rule(g):
+        if slope is not None:
+            for g_item, y_item in zip(g, out_data):
+                _mask_rows(g_item, y_item, slope)
         dw = np.empty_like(weight.data)
         dcols = np.zeros_like(cols) if x.requires_grad else None
-        for p, (row, frames, kept, w_p) in enumerate(phases):
+        for p, (row, frames, kept, _) in enumerate(phases):
+            w_p = phase_weight(p)
             dw_p = np.zeros_like(w_p)
             g_p = np.zeros((c_out, frames), dtype=g.dtype)              # zero past ``kept``
             # Per batch item, so each de-interleaved gradient copy stays cache-sized.
@@ -202,9 +361,7 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
 def weight_normalized(v: Tensor, g: Tensor) -> Tensor:
     """Effective weight g * v / ||v||, norm taken per output channel."""
     flat = v.data.reshape(v.data.shape[0], -1)
-    norms = np.sqrt((flat * flat).sum(axis=1))
-    if np.any(norms == 0.0):
-        raise ShapeError("weight_normalized: zero-norm direction tensor")
+    norms = _channel_norms(v.data)
     scale = (g.data / norms).reshape((-1,) + (1,) * (v.data.ndim - 1))
     out = Tensor._wrap(v.data * scale)
 
@@ -303,9 +460,9 @@ class BatchNorm1d:
 
 class Conv1d:
     """Convolution (or transposed convolution) layer with selectable
-    normalization. Activation is applied by the model, not here. A
-    convolution gives 1 + ceil(max(T + pl + pr - K, 0) / stride) frames; a
-    transposed one, the ``length`` its mirrored convolution consumed."""
+    normalization and an optional leaky ReLU. A convolution gives
+    1 + ceil(max(T + pl + pr - K, 0) / stride) frames; a transposed one,
+    the ``length`` its mirrored convolution consumed."""
 
     group = "conv"  # optimizer group of every parameter, batch norm's included
 
@@ -342,20 +499,33 @@ class Conv1d:
             return weight_normalized(self.weight, self.weight_g)
         return self.weight
 
-    def __call__(self, x, training: bool = False, length: int | None = None) -> Tensor:
+    def __call__(self, x, training: bool = False, length: int | None = None,
+                 slope: float | None = None) -> Tensor:
+        """The layer's output, leaky-ReLU-activated with ``slope`` unless it
+        is None. With weight norm the activation is the convolution op's
+        epilogue, and under ``no_grad`` weight norm folds into the GEMM
+        weights; with batch norm a ``leaky_relu`` op follows the norm."""
         x = astensor(x)
-        w = self.effective_weight()
+        if self.weight_g is not None and not grad_enabled():
+            w, scale = self.weight, self.weight_g.data / _channel_norms(self.weight.data)
+        else:
+            w, scale = self.effective_weight(), None
+        fused = slope if self.bn is None else None
         if self.transposed:
-            out = conv_transpose1d(x, w, self.bias, stride=self.stride, length=length)
+            out = conv_transpose1d(x, w, self.bias, stride=self.stride, length=length,
+                                   slope=fused, scale=scale)
         else:
             # A tail frame the strided walk skipped is one the mirrored decoder
             # could never predict, so zero-pad the right edge until it is covered.
             pl, pr = self.padding
             over = x.data.shape[-1] + pl + pr - self.kernel_size
             extra = -over if over < 0 else -over % self.stride
-            out = conv1d(x, w, self.bias, stride=self.stride, padding=(pl, pr + extra))
+            out = conv1d(x, w, self.bias, stride=self.stride, padding=(pl, pr + extra),
+                         slope=fused, scale=scale)
         if self.bn is not None:
             out = self.bn(out, training)
+            if slope is not None:
+                out = leaky_relu(out, slope)
         return out
 
     def named_parameters(self, prefix: str):

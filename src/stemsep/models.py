@@ -10,7 +10,11 @@ equals the skip's channel count). The ``after_tconv4`` recurrence variant
 instead threads the first decoder layer's output through a GRU. The
 convolution layers own the time lengths: an encoder layer right-pads until
 its strided walk covers the last frame, and its mirrored decoder layer
-returns exactly the length it consumed, so any input length works.
+returns exactly the length it consumed, so any input length works. Every
+convolution layer, convolution skips included, applies the model's leaky
+ReLU itself (``Conv1d(..., slope=)``): with weight norm it is the
+epilogue of the layer's one tape op, so a layer and its activation are
+one op in training and one in-place pass in inference.
 
 One walk, ``modules()``, yields every parameterised layer with its name
 prefix; parameter and buffer traversal, checkpoint state and optimizer
@@ -33,7 +37,6 @@ from .tensor import (
     add,
     astensor,
     concat,
-    leaky_relu,
     no_grad,
     reshape,
 )
@@ -73,6 +76,8 @@ class ModelConfig:
             raise ConfigError(f"recurrence {self.recurrence!r} not in {RECURRENCE_KINDS}")
         if self.norm_kind not in NORM_KINDS:
             raise ConfigError(f"norm_kind {self.norm_kind!r} not in {NORM_KINDS}")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ConfigError(f"leaky_slope {self.leaky_slope} outside [0, 1]")
         if len(self.encoder_specs) != 3 or len(self.decoder_specs) != 3:
             raise ConfigError("expected exactly three encoder and three decoder layers, got "
                               f"{len(self.encoder_specs)}/{len(self.decoder_specs)}")
@@ -213,16 +218,16 @@ class Separator:
         h = x
         for layer in self.encoder:
             lengths.append(h.data.shape[-1])
-            h = leaky_relu(layer(h, training), slope)
+            h = layer(h, training, slope=slope)
             taps.append(h)
 
-        h = leaky_relu(self.decoder[0](h, training, lengths[2]), slope)
+        h = self.decoder[0](h, training, lengths[2], slope)
         if self.post_gru is not None:
             h = self.post_gru(h)
         h = self._merge_skip(h, taps[1], self.skips[1], training)
-        h = leaky_relu(self.decoder[1](h, training, lengths[1]), slope)
+        h = self.decoder[1](h, training, lengths[1], slope)
         h = self._merge_skip(h, taps[0], self.skips[0], training)
-        h = leaky_relu(self.decoder[2](h, training, lengths[0]), slope)
+        h = self.decoder[2](h, training, lengths[0], slope)
 
         return reshape(h, h.data.shape[1:]) if squeeze else h
 
@@ -232,7 +237,7 @@ class Separator:
         if transform == "identity":
             branch = tap
         elif isinstance(transform, Conv1d):
-            branch = leaky_relu(transform(tap, training), self.cfg.leaky_slope)
+            branch = transform(tap, training, slope=self.cfg.leaky_slope)
         else:
             branch = transform(tap)
         return add(decoded, branch)

@@ -34,6 +34,7 @@ __all__ = [
     "Tape",
     "using_dtype",
     "no_grad",
+    "grad_enabled",
     "current_tape",
     "record_op",
     "accumulate_grad",
@@ -90,6 +91,11 @@ def _ctx():
         _local.grad_enabled = True
         _local.dtype = np.dtype(np.float64)
     return _local
+
+
+def grad_enabled() -> bool:
+    """Whether operations on the calling thread record to its tape."""
+    return _ctx().grad_enabled
 
 
 def current_tape() -> Tape:

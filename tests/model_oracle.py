@@ -1,14 +1,17 @@
 """``Separator.forward`` as it ran before the convolution layers took over
-the time-length policy: the model right-pads each encoder input with a
-zero ``concat`` until the strided walk covers the last frame, and crops
-each full-length decoder output back to its encoder's input length with
-``slice_axis``. It runs the layers of a ``Separator``, so both forwards
-share every weight."""
+the time-length policy and the activation: the model right-pads each
+encoder input with a zero ``concat`` until the strided walk covers the
+last frame, crops each full-length decoder output back to its encoder's
+input length with ``slice_axis``, and activates every convolution layer's
+output with a separate ``leaky_relu`` op, each layer being called without
+its own activation. It runs the layers of a ``Separator``, so both
+forwards share every weight."""
 
 import numpy as np
 from engine_ops import slice_axis
 
-from stemsep.tensor import Tensor, astensor, concat, leaky_relu, reshape
+from stemsep.layers import Conv1d
+from stemsep.tensor import Tensor, add, astensor, concat, leaky_relu, reshape
 
 
 def fit_time(x: Tensor, length: int) -> Tensor:
@@ -20,6 +23,18 @@ def fit_time(x: Tensor, length: int) -> Tensor:
         return slice_axis(x, x.data.ndim - 1, 0, length)
     pad_shape = x.data.shape[:-1] + (length - t,)
     return concat([x, astensor(np.zeros(pad_shape, dtype=x.data.dtype))], axis=x.data.ndim - 1)
+
+
+def merge_skip(model, decoded: Tensor, tap: Tensor, transform, training: bool) -> Tensor:
+    if transform is None:
+        return decoded
+    if transform == "identity":
+        branch = tap
+    elif isinstance(transform, Conv1d):
+        branch = leaky_relu(transform(tap, training), model.cfg.leaky_slope)
+    else:
+        branch = transform(tap)
+    return add(decoded, branch)
 
 
 def pad_and_crop_forward(model, x, training: bool = False) -> Tensor:
@@ -49,9 +64,9 @@ def pad_and_crop_forward(model, x, training: bool = False) -> Tensor:
     h = leaky_relu(fit_time(model.decoder[0](h, training), lengths[2]), slope)
     if model.post_gru is not None:
         h = model.post_gru(h)
-    h = model._merge_skip(h, taps[1], model.skips[1], training)
+    h = merge_skip(model, h, taps[1], model.skips[1], training)
     h = leaky_relu(fit_time(model.decoder[1](h, training), lengths[1]), slope)
-    h = model._merge_skip(h, taps[0], model.skips[0], training)
+    h = merge_skip(model, h, taps[0], model.skips[0], training)
     h = leaky_relu(fit_time(model.decoder[2](h, training), lengths[0]), slope)
 
     return reshape(h, h.data.shape[1:]) if squeeze else h

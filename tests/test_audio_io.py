@@ -39,7 +39,16 @@ def test_float32_wav_roundtrip_is_bit_exact(tmp_path):
     back = read_wav(path)
     assert back.sample_rate == 44100
     assert back.channels == 2
-    assert np.array_equal(back.data.astype(np.float32), samples.astype(np.float32))
+    assert back.data.dtype == np.float32  # kept, not widened to float64
+    assert np.array_equal(back.data, samples)
+
+
+def test_read_wav_widens_pcm16_to_float64(tmp_path):
+    pcm = np.array([[-32768, -1, 0, 1, 32767]], dtype=np.int16)
+    wavfile.write(tmp_path / "p.wav", 44100, pcm[0])
+    back = read_wav(tmp_path / "p.wav")
+    assert back.data.dtype == np.float64
+    assert np.array_equal(back.data, pcm / 32768.0)
 
 
 def test_float32_file_roundtrip_bytes(tmp_path):
@@ -182,8 +191,13 @@ def test_track_missing_stem_is_data_error(tmp_path):
 def test_missing_mixture_uses_stem_sum(tmp_path):
     make_dataset(tmp_path, with_mixture=False)
     track = load_track(tmp_path / "test" / "alpha")
-    total = sum(track.stems[s].data for s in SOURCES)
-    assert np.allclose(track.mixture.data, total, atol=1e-7)
+    # The stems read as float32; their sum is taken in float64.
+    total = np.zeros(track.stems[SOURCES[0]].data.shape)
+    for s in SOURCES:
+        total += track.stems[s].data
+    assert track.stems[SOURCES[0]].data.dtype == np.float32
+    assert track.mixture.data.dtype == np.float64
+    assert np.array_equal(track.mixture.data, total)
 
 
 def test_empty_split_is_data_error(tmp_path):

@@ -1,8 +1,11 @@
 """STFT/iSTFT against a direct DFT-sum oracle and round-trips; Wiener
 mask conservation; blocked Wiener synthesis against the whole-spectrogram
-formulas and its working memory; energy-ratio SDR contracts."""
+formulas and its working memory; energy-ratio SDR contracts; and a
+source scan that keeps the package to FFT calls NumPy 1.24 runs."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,3 +529,40 @@ def test_sdr_and_mono_of_float32_clips_equal_their_float64_values():
 def test_sdr_length_mismatch_rejected():
     with pytest.raises(ShapeError):
         dsp.sdr(AudioClip(np.ones(10)), AudioClip(np.ones(11)))
+
+
+# ---------------------------------------------------------------------------
+# NumPy floor
+
+FFT_NAMES = {"fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2",
+             "rfft2", "irfft2", "hfft", "ihfft"}
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_package_source_keeps_to_what_numpy_1_24_runs():
+    # pyproject.toml allows numpy>=1.24, and nothing runs the suite on NumPy
+    # 1.x. There ``np.fft`` returns complex128 for float32 input, and
+    # scipy.fft's transforms take no ``out=``: the package uses neither.
+    package = Path(dsp.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _dotted(node.func)
+            where = f"{path.name}:{node.lineno} {name}"
+            if name.startswith(("np.fft.", "numpy.fft.")):
+                found.append(where)
+            elif name.rsplit(".", 1)[-1] in FFT_NAMES and any(kw.arg == "out" for kw in node.keywords):
+                found.append(where + "(out=...)")
+    assert found == []
+    assert len(list(package.glob("*.py"))) > 10

@@ -268,6 +268,32 @@ def test_zero_estimates_give_zero_db(tmp_path):
         assert row.sdr_db == pytest.approx(0.0, abs=1e-9)
 
 
+def test_accompaniments_of_float32_stem_files_sum_in_float64(tmp_path):
+    # Stem files read as float32; the reference accompaniment and one built
+    # from estimate files are float64 sums, so scores do not depend on the
+    # files' sample format.
+    make_dataset(tmp_path, seconds=0.3, tracks=("alpha",), channels=2)
+    est = tmp_path / "estimates" / "alpha"
+    est.mkdir(parents=True)
+    refs, ests = {}, {}
+    for source in SOURCES:
+        refs[source] = read_wav(tmp_path / "test" / "alpha" / f"{source}.wav").data
+        ests[source] = (refs[source] * np.float32(0.7) + np.float32(1e-3)).astype(np.float32)
+        write_wav(est / f"{source}.wav", AudioClip(ests[source]), fmt="float32")
+    assert refs[SOURCES[0]].dtype == np.float32
+    report = evaluate(tmp_path, split="test", estimates_dir=tmp_path / "estimates")
+
+    def accompaniment(stems):
+        total = np.zeros(stems[SOURCES[0]].shape)
+        for source in SOURCES:
+            if source != "vocals":
+                total += stems[source]
+        return AudioClip(total)
+
+    want = dsp.sdr(accompaniment(refs), accompaniment(ests))
+    assert [row.sdr_db for row in report.rows if row.source == "accompaniment"] == [want]
+
+
 def test_csv_row_format_golden(tmp_path):
     report = EvalReport([
         EvalRow("alpha", "drums", 1.234567),

@@ -13,8 +13,9 @@ from gru_oracle import composed_gru
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemsep import layers
 from stemsep import tensor as T
-from stemsep.errors import ShapeError
+from stemsep.errors import ConfigError, ShapeError
 from stemsep.layers import GRU, BatchNorm1d, Conv1d, conv1d, conv_transpose1d, weight_normalized
 from stemsep.optim import Adam, build_optimizer
 
@@ -399,6 +400,175 @@ def test_conv_transpose1d_call_is_one_tape_op():
                          stride=stride)
         assert len(tape) - before == 1
     tape.clear()
+
+
+# ---------------------------------------------------------------------------
+# The activation epilogue
+
+
+def _layer_outputs_and_grads(layer, x, probe, slope, fused, length):
+    """Forward a (C, T) or (B, C, T) input through ``layer``, activated with
+    its own epilogue (``fused``) or by a separate ``leaky_relu`` op; a
+    (C, T) input is lifted by a reshape op, as the model lifts it. Returns
+    the output and, after backpropagating sum(probe * out), the gradients
+    of the input, weight direction, weight scale and bias."""
+    xt = T.Tensor(x, requires_grad=True)
+    unbatched = x.ndim == 2
+    h = T.reshape(xt, (1,) + x.shape) if unbatched else xt
+    if fused:
+        out = layer(h, length=length, slope=slope)
+    else:
+        out = T.leaky_relu(layer(h, length=length), slope)
+    if unbatched:
+        out = T.reshape(out, out.data.shape[1:])
+    T.backward(reduce_sum(mul(out, T.Tensor(probe))))
+    params = (layer.weight, layer.weight_g, layer.bias)
+    grads = [xt.grad] + [p.grad for p in params]
+    for p in params:
+        p.zero_grad()
+    return out.data, grads
+
+
+@settings(max_examples=80, deadline=None)
+@given(transposed=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+       b=st.integers(0, 3), c_in=st.integers(1, 4), c_out=st.integers(1, 4),
+       k=st.integers(1, 5), stride=st.integers(1, 3), t=st.integers(1, 9),
+       cut=st.sampled_from([None, 0, 1, 3]), zero_channel=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_fused_activation_bit_equal_to_composed(transposed, dtype, b, c_in, c_out, k, stride,
+                                                t, cut, zero_channel, seed):
+    # b = 0 draws an unbatched (C, T) input; ``cut`` trims a transposed
+    # layer's output to ``length`` (None: the natural length).
+    rng = np.random.default_rng(seed)
+    slope = 0.01
+    with T.using_dtype(dtype):
+        layer = Conv1d(c_in, c_out, k, stride=stride, transposed=transposed, rng=rng)
+        layer.bias.data[:] = rng.normal(size=c_out)
+        if zero_channel:
+            # Channel 0's effective weights are signed zeros and its bias is
+            # -0.0, so its pre-activations are all +0.0 or -0.0.
+            layer.weight_g.data[0] = 0.0
+            layer.bias.data[0] = -0.0
+        x = rng.normal(size=(max(b, 1), c_in, t)).astype(dtype)
+        length = None
+        if transposed and cut is not None:
+            length = max((t - 1) * stride + k - cut, 1)
+        with T.no_grad():
+            inference = layer(T.Tensor(x), length=length, slope=slope).data
+            want_inference = T.leaky_relu(layer(T.Tensor(x), length=length), slope).data
+        probe = rng.normal(size=inference.shape).astype(dtype)
+        if b == 0:
+            x, probe = x[0], probe[0]
+        out, grads = _layer_outputs_and_grads(layer, x, probe, slope, True, length)
+        want_out, want_grads = _layer_outputs_and_grads(layer, x, probe, slope, False, length)
+    if zero_channel:
+        assert np.all(want_out[..., 0, :] == 0.0)
+    assert out.dtype == inference.dtype == dtype
+    assert np.array_equal(bits(inference), bits(want_inference))
+    assert np.array_equal(bits(out), bits(want_out))
+    assert np.array_equal(bits(out), bits(inference[0] if b == 0 else inference))
+    for got, want in zip(grads, want_grads, strict=True):
+        assert got.dtype == dtype
+        assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_gradient_follows_the_output_sign_where_the_slope_underflows(dtype):
+    # The one case in which the fused backward differs from ``leaky_relu``'s:
+    # a negative subnormal pre-activation whose product with the slope
+    # underflows to -0.0. Both forwards give -0.0; the fused mask reads that
+    # output as non-negative and passes the gradient through unscaled, while
+    # ``leaky_relu`` reads the input's sign and scales it by the slope.
+    tiny = np.finfo(dtype).smallest_subnormal
+    slope = 0.01
+    with T.using_dtype(dtype):
+        x = np.array([[[-tiny, tiny, -1.0, 1.0, -0.0, 0.0]]], dtype=dtype)
+        w, bias = T.Tensor(np.ones((1, 1, 1)), requires_grad=True), T.Tensor(np.zeros(1))
+
+        def grads(activated):
+            xt = T.Tensor(x, requires_grad=True)
+            out = activated(xt)
+            T.backward(reduce_sum(out))
+            w.zero_grad()
+            return out.data, xt.grad
+
+        out, dx = grads(lambda v: conv1d(v, w, bias, slope=slope))
+        want_out, want_dx = grads(lambda v: T.leaky_relu(conv1d(v, w, bias), slope))
+    assert np.array_equal(bits(out), bits(want_out))
+    assert bits(out[0, 0, 0]) == bits(dtype(-0.0))
+    assert dx[0, 0, 0] == 1.0 and want_dx[0, 0, 0] == dtype(slope)
+    assert np.array_equal(bits(dx[..., 1:]), bits(want_dx[..., 1:]))
+
+
+@pytest.mark.parametrize("c_in,c_out,exact", [(24, 40, False), (128, 2050, True)],
+                         ids=["small", "wide"])
+def test_blocked_transposed_forward_matches_one_gemm_per_phase(monkeypatch, c_in, c_out, exact):
+    # Float32 products are written in blocks of output frames; with a block
+    # wider than the input, each phase is one GEMM again. Whether OpenBLAS's
+    # sgemm rounds a column alike in both depends on its kernel choice: at
+    # the model's widths ("wide") it does, bit for bit; at small ones a
+    # block's last columns may differ in the last bits.
+    rng = rng_for(f"tconv-blocks-{c_out}")
+    with T.using_dtype(np.float32), T.no_grad():
+        layer = Conv1d(c_in, c_out, 5, stride=2, transposed=True, rng=rng)
+        layer.bias.data[:] = rng.normal(size=c_out)
+        x = T.Tensor(rng.standard_normal((2, c_in, 2 * layers.TCONV_BLOCK_FRAMES + 40),
+                                         dtype=np.float32))
+        natural = (x.data.shape[-1] - 1) * 2 + 5
+        for length in (natural, natural - 1, 3):
+            blocked = layer(x, length=length, slope=0.01).data
+            monkeypatch.setattr(layers, "TCONV_BLOCK_FRAMES", 10**9)
+            whole = layer(x, length=length, slope=0.01).data
+            monkeypatch.undo()
+            if exact:
+                assert np.array_equal(bits(blocked), bits(whole)), length
+            else:
+                assert np.max(np.abs(blocked - whole)) <= 1e-6 * np.max(np.abs(whole)), length
+
+
+def test_folded_transposed_layer_holds_nothing_whole_beside_its_output():
+    """Under no_grad a weight-norm transposed layer peaks at its output, its
+    gathered input taps, one phase weight, one block of output frames and
+    the epilogue's scratch: no effective weight and no whole-phase product."""
+    c_in, c_out, kernel, stride, frames = 256, 2050, 5, 2, 1100
+    q = -(-kernel // stride)
+    rng = rng_for("tconv-fold-memory")
+    with T.using_dtype(np.float32), T.no_grad():
+        layer = Conv1d(c_in, c_out, kernel, stride=stride, transposed=True, rng=rng)
+        x = T.Tensor(rng.standard_normal((1, c_in, frames), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            out = layer(x, slope=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    item = out.data.itemsize
+    taps = q * c_in * (frames + q - 1) * item
+    phase_weight = q * c_in * c_out * item
+    widest = layers.TCONV_BLOCK_FRAMES * 3 // 2 + q  # a merged tail and the last columns
+    block = c_out * widest * item
+    scratch = layers.SCRATCH_ELEMENTS * (item + 1)
+    assert out.data.shape == (1, c_out, (frames - 1) * stride + kernel)
+    assert peak <= out.data.nbytes + taps + phase_weight + block + scratch
+
+
+@pytest.mark.parametrize("slope", [-0.01, 1.5])
+def test_epilogue_refuses_a_slope_outside_the_unit_interval(slope):
+    # max(a, slope * a) is the leaky ReLU only for 0 <= slope <= 1.
+    x, w, bias = T.Tensor(np.ones((1, 2, 4))), param(np.ones((3, 2, 2))), param(np.zeros(3))
+    for op in (conv1d, conv_transpose1d):
+        with pytest.raises(ConfigError):
+            op(x, w, bias, slope=slope)
+
+
+def test_folded_scale_is_inference_only():
+    x, w, bias = T.Tensor(np.ones((1, 2, 4))), param(np.ones((3, 2, 2))), param(np.zeros(3))
+    for op in (conv1d, conv_transpose1d):
+        with pytest.raises(ValueError):
+            op(x, w, bias, scale=np.ones(3))
+        with T.no_grad():
+            assert np.array_equal(op(x, w, bias, scale=np.full(3, 2.0)).data,
+                                  2.0 * op(x, w, bias).data)
 
 
 # ---------------------------------------------------------------------------

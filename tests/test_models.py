@@ -143,6 +143,17 @@ def test_decoder_must_mirror_encoder_kernels_and_strides(layer, field):
     assert f"decoder layer {layer}" in str(err.value)
 
 
+@pytest.mark.parametrize("slope", [-0.01, 1.01])
+def test_leaky_slope_outside_the_unit_interval_rejected(slope):
+    # The layers' activation epilogue, max(a, slope * a), is a leaky ReLU
+    # only for 0 <= slope <= 1; a checkpoint's config is checked on load.
+    cfg = tiny_config()
+    broken = ModelConfig(cfg.encoder_specs, cfg.decoder_specs, input_channels=12, freq_bins=12,
+                         source_count=2, leaky_slope=slope)
+    with pytest.raises(ConfigError):
+        build_separator(broken)
+
+
 def test_wrong_input_channel_count_rejected():
     model = build_separator(tiny_config(), rng=0)
     with pytest.raises(ShapeError):
@@ -228,8 +239,8 @@ def test_forward_bit_equal_to_pad_and_crop_oracle(skip_kind, recurrence, norm, d
 
 def test_training_tape_holds_no_pad_or_crop_op():
     # At t = 16 the second encoder layer needs a one-frame pad and the last
-    # two decoder layers a crop; only the layers, the skip adds and the
-    # loss are left on the tape.
+    # two decoder layers a crop; only the layers (each activating its own
+    # output), the skip adds and the loss are left on the tape.
     model = build_separator(tiny_config("gru"), rng=23)
     rng = rng_for("tape-count")
     x = rng.normal(size=(2, 12, 16))
@@ -239,11 +250,12 @@ def test_training_tape_holds_no_pad_or_crop_op():
     mse_loss(model.forward(x, training=True), target)
     weight_norms = convs = activations = 6
     grus, skip_adds, loss = 2, 2, 1
-    ops = weight_norms + convs + activations + grus + skip_adds + loss
-    assert len(tape) == ops == 23
+    ops = weight_norms + convs + grus + skip_adds + loss
+    assert len(tape) == ops == 17
     tape.clear()
     mse_loss(pad_and_crop_forward(model, x, training=True), target)
-    assert len(tape) == ops + 3  # the oracle's pad concat and two crops
+    # The oracle's separate activations, its pad concat and two crops.
+    assert len(tape) == ops + activations + 3
     tape.clear()
 
 
