@@ -98,18 +98,20 @@ def write_wav(path, clip: AudioClip, fmt: str = "float32") -> None:
     """Write a WAV file; ``fmt`` is "float32" (bit-exact) or "pcm16"."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = clip.data.T  # (samples, channels)
-    if data.shape[1] == 1:
-        data = data[:, 0]
-    # One C-order copy interleaves the channels; the writer takes it as is.
-    if fmt == "float32":
-        wavfile.write(path, clip.sample_rate, np.ascontiguousarray(data, dtype=np.float32))
-    elif fmt == "pcm16":
-        clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, clip.sample_rate,
-                      np.ascontiguousarray(np.round(clipped * 32768.0), dtype=np.int16))
-    else:
+    if fmt not in ("float32", "pcm16"):
         raise DataError(f"unknown WAV format {fmt!r}; expected float32 or pcm16")
+    # Channels are interleaved by column assignment into one (samples,
+    # channels) buffer that the writer takes as is: a column at a time
+    # reads each channel in order, where a transposed copy strides across
+    # all of them.
+    frames = np.empty((clip.num_samples, clip.channels),
+                      dtype=np.float32 if fmt == "float32" else np.int16)
+    for c in range(clip.channels):
+        if fmt == "float32":
+            frames[:, c] = clip.channel(c)
+        else:
+            frames[:, c] = np.round(np.clip(clip.channel(c), -1.0, 32767.0 / 32768.0) * 32768.0)
+    wavfile.write(path, clip.sample_rate, frames[:, 0] if clip.channels == 1 else frames)
 
 
 # ---------------------------------------------------------------------------

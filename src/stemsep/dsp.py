@@ -11,13 +11,17 @@ first. Masking is a single-pass power-ratio soft mask applied to the
 complex mixture with the mixture's phase; the SDR here is a plain
 energy ratio over the whole track, not the full BSS-Eval decomposition.
 
-Synthesis streams: ``overlap_add`` inverts consecutive blocks of
-``SYNTHESIS_BLOCK_FRAMES`` frames into a caller's output buffer, carrying
-one hop of samples between blocks, and ``wiener_synthesis`` masks each
-block just before it is inverted, so whole-song separation never holds a
-whole-song mask or masked spectrogram. Masks and ``irfft`` act frame by
-frame and every hop slot sums exactly two terms, so the blocked result is
-bit-identical to a whole-spectrogram pass.
+Analysis and synthesis stream in blocks of ``SYNTHESIS_BLOCK_FRAMES``
+frames. ``block_frames`` builds the windowed ``rfft`` frames of any frame
+range from a local copy of only the samples they cover, so neither a
+padded copy of the signal nor, in synthesis, the mixture spectrum is ever
+needed whole: ``stft`` writes block after block into its result, and
+``wiener_synthesis`` recomputes each block's mixture frames, masks them
+and inverts them at once through ``overlap_add``, which carries one hop
+of samples between blocks into a caller's output buffer. Masks, ``rfft``
+and ``irfft`` act frame by frame and every hop slot sums exactly two
+terms, so the blocked result is bit-identical to a whole-signal pass.
+Everything runs on the calling thread.
 
 Precision follows the data. ``stft`` analyses in float64 by default and in
 float32 on request; a complex64 spectrum is masked with float32 powers and
@@ -46,12 +50,13 @@ WIENER_POWER_FLOOR = 1e-10
 # At -80 dBFS it is far below audibility.
 MASK_MAG_FLOOR = 1e-4
 SDR_CAP_DB = 100.0
-# Frames per synthesis block: the working set of ``overlap_add`` and
+# Frames per block: the working set of ``stft``, ``overlap_add`` and
 # ``wiener_synthesis``. For 4 sources over a 120 s channel on a 2-vCPU
-# box, blocks of 32, 64 and 128 frames take 0.47, 0.52 and 0.54 s in
-# float32 (0.89, 0.89 and 0.91 s in float64), 256 frames 0.59 s (1.02 s),
-# and one whole-song block 0.77 s (1.79 s); 16 to 64 frames are level
-# within 0.03 s.
+# box, synthesis with the mixture frames rebuilt per block takes 0.33,
+# 0.29, 0.29, 0.33 and 0.36 s in float32 for blocks of 16, 32, 64, 128 and
+# 256 frames (0.62, 0.61, 0.61, 0.64 and 0.69 s in float64), level with
+# the STFT plus synthesis it replaces; the STFT takes 0.05 s from 32
+# frames up (0.09 to 0.11 s in float64).
 SYNTHESIS_BLOCK_FRAMES = 64
 
 
@@ -79,34 +84,65 @@ class ComplexSpectrogram:
         return self.data.shape[1]
 
 
+def frame_blocks(frames: int) -> list[slice]:
+    """Consecutive slices of at most ``SYNTHESIS_BLOCK_FRAMES`` frames
+    covering frames 0 .. frames - 1."""
+    return [slice(start, min(start + SYNTHESIS_BLOCK_FRAMES, frames))
+            for start in range(0, frames, SYNTHESIS_BLOCK_FRAMES)]
+
+
+def _channel(samples) -> np.ndarray:
+    """``samples`` as a 1-D array of at least one window."""
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise DataError(f"expected a 1-D signal, got shape {samples.shape}")
+    if samples.size < WINDOW_SIZE:
+        raise DataError(f"signal of {samples.size} samples is shorter than one "
+                        f"{WINDOW_SIZE}-sample window")
+    return samples
+
+
+def block_frames(samples: np.ndarray, lo: int, hi: int, dtype) -> np.ndarray:
+    """The frame-major (hi - lo, FREQ_BINS) ``rfft`` of frames lo .. hi - 1
+    of the 1-D ``samples``, reflection-padded by half a window per side and
+    Hann-windowed in ``dtype``.
+
+    Frame t covers samples t * hop - window/2 .. t * hop + window/2 - 1, so
+    only those of frames lo .. hi - 1 are copied (and cast) into a local
+    buffer, mirrored about the first or last sample where they run past
+    the signal as ``np.pad(mode="reflect")`` does. Every frame is the same
+    row of a whole-signal pass bit for bit.
+    """
+    n = samples.size
+    start = lo * HOP_SIZE - WINDOW_SIZE // 2
+    stop = (hi - 1) * HOP_SIZE + WINDOW_SIZE // 2
+    local = np.empty(stop - start, dtype=dtype)
+    left, right = max(-start, 0), max(stop - n, 0)
+    local[:left] = samples[left:0:-1]
+    local[left:local.size - right] = samples[max(start, 0):min(stop, n)]
+    local[local.size - right:] = samples[n - 2:n - 2 - right:-1]
+    segments = np.lib.stride_tricks.sliding_window_view(local, WINDOW_SIZE)[::HOP_SIZE]
+    segments = segments * hann_window(dtype)
+    del local
+    return scipy.fft.rfft(segments, n=WINDOW_SIZE, axis=1)
+
+
 def stft(samples: np.ndarray, sample_rate: int = 0, dtype=np.float64) -> ComplexSpectrogram:
     """Hann-windowed STFT of a 1-D signal with reflection padding of
     window/2 per side, computed in ``dtype`` (float64, or float32 for a
     complex64 spectrum).
 
     Frame count is 1 + floor((N + window - window) / hop) = 1 + floor(N / hop)
-    for an N-sample input.
+    for an N-sample input. Frames are transformed a block at a time
+    (``block_frames``) straight into the spectrum: no padded or windowed
+    copy of the whole signal exists.
     """
-    samples = np.asarray(samples, dtype=dtype)
-    if samples.ndim != 1:
-        raise DataError(f"stft expects a 1-D signal, got shape {samples.shape}")
-    n = samples.size
-    if n < WINDOW_SIZE:
-        raise DataError(f"signal of {n} samples is shorter than one {WINDOW_SIZE}-sample window")
-    # The padded signal is freed once windowed, before the transform runs.
-    padded = np.pad(samples, WINDOW_SIZE // 2, mode="reflect")
-    segments = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[::HOP_SIZE]
-    segments = segments * hann_window(dtype)
-    del padded
-    spec = scipy.fft.rfft(segments, n=WINDOW_SIZE, axis=1).T  # (bins, frames)
-    return ComplexSpectrogram(spec, sample_rate, n)
-
-
-def frame_blocks(frames: int) -> list[slice]:
-    """Consecutive slices of at most ``SYNTHESIS_BLOCK_FRAMES`` frames
-    covering frames 0 .. frames - 1."""
-    return [slice(start, min(start + SYNTHESIS_BLOCK_FRAMES, frames))
-            for start in range(0, frames, SYNTHESIS_BLOCK_FRAMES)]
+    samples = _channel(samples)
+    spectrum = np.empty((1 + samples.size // HOP_SIZE, FREQ_BINS),
+                        dtype=np.result_type(dtype, np.complex64))
+    for block in frame_blocks(spectrum.shape[0]):
+        spectrum[block] = block_frames(samples, block.start, block.stop, dtype)
+    return ComplexSpectrogram(spectrum.T, sample_rate, samples.size)  # (bins, frames)
 
 
 def overlap_add(blocks, out: np.ndarray) -> np.ndarray:
@@ -226,24 +262,27 @@ def wiener_masks(source_mags, mixture: ComplexSpectrogram) -> list[ComplexSpectr
             for masked in masked_frames(mags.transpose(0, 2, 1), mixture.data.T)]
 
 
-def wiener_synthesis(source_features: np.ndarray, mixture: ComplexSpectrogram,
+def wiener_synthesis(source_features: np.ndarray, samples: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-    """Every source's waveform from its (S, F, T) log1p-magnitude estimate:
-    magnitudes clipped at ``MASK_MAG_FLOOR``, Wiener-masked against
-    ``mixture`` and inverted, one frame block at a time, into ``out``
-    (S, length).
+    """Every source's waveform from its (S, F, T) log1p-magnitude estimate
+    of the 1-D mixture ``samples``: magnitudes clipped at
+    ``MASK_MAG_FLOOR``, Wiener-masked against the mixture's STFT and
+    inverted, one frame block at a time, into ``out`` (S, length), in
+    ``out``'s precision.
 
-    With ``out`` in the mixture's real precision, bit-identical to
-    ``istft`` of each of ``wiener_masks(np.maximum(np.maximum(np.expm1(
-    source_features), 0), MASK_MAG_FLOOR), mixture)``, but only one block
-    of masks and masked frames exists at a time.
+    Each block's mixture frames are recomputed from the samples they cover
+    (``block_frames``), so neither the mixture spectrum nor a whole-song
+    mask or masked spectrum ever exists. Bit-identical to ``istft`` of
+    each of ``wiener_masks(np.maximum(np.maximum(np.expm1(source_features),
+    0), MASK_MAG_FLOOR), stft(samples, dtype=out.dtype))``.
     """
-    if source_features.shape[1:] != mixture.data.shape:
-        raise ShapeError(f"source estimates {source_features.shape[1:]} do not match mixture "
-                         f"{mixture.data.shape}")
-    if out.shape != (source_features.shape[0], mixture.length):
-        raise ShapeError(f"output buffer {out.shape} is not (sources, {mixture.length})")
-    frames = mixture.data.T
+    samples = _channel(samples)
+    frames = 1 + samples.size // HOP_SIZE
+    if source_features.shape[1:] != (FREQ_BINS, frames):
+        raise ShapeError(f"source estimates {source_features.shape[1:]} do not match the "
+                         f"mixture's {(FREQ_BINS, frames)} STFT")
+    if out.shape != (source_features.shape[0], samples.size):
+        raise ShapeError(f"output buffer {out.shape} is not (sources, {samples.size})")
 
     def block_mags(block):
         # Frame-major from the start: expm1 reads the (S, F, t) block once,
@@ -251,8 +290,9 @@ def wiener_synthesis(source_features: np.ndarray, mixture: ComplexSpectrogram,
         mags = np.expm1(source_features[..., block].transpose(0, 2, 1), order="C")
         return np.maximum(mags, MASK_MAG_FLOOR, out=mags)
 
-    blocks = (masked_frames(block_mags(block), frames[block])
-              for block in frame_blocks(mixture.frames))
+    blocks = (masked_frames(block_mags(block),
+                            block_frames(samples, block.start, block.stop, out.dtype))
+              for block in frame_blocks(frames))
     return overlap_add(blocks, out)
 
 

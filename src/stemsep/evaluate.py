@@ -4,18 +4,21 @@ reports, and spectrogram dumps for qualitative inspection.
 Each channel of a song runs through the shared model whole, in the
 model's precision from front to back: STFT (complex64 for a float32
 model) -> log1p features -> network (residual runners iterate; enhancer
-runners refine per source). Synthesis then walks that channel's frames in
-blocks (``dsp.wiener_synthesis``): expm1 -> power-ratio masks against the
-mixture STFT (mixture phase) -> inverse STFT, written straight into one
-(sources, channels, samples) stem buffer of exactly the input length.
-Each whole-song temporary (features, spectrum, estimates) is dropped as
-soon as it is used. A float64 model's stems are bit-identical to masking
-and inverting the whole song at once in float64; a float32 model's
-carry float32 rounding, which the model amplifies where it predicts
-near-silence (within 2e-6 of the peak of a float64 separation on a 120 s
-song with the default random-weight model). The accompaniment,
-in the stems' dtype, is the sum of the non-vocal stems by default;
-``accompaniment="all4"`` sums all four instead.
+runners refine per source). The spectrum is dropped once its features
+exist, before the network runs. Synthesis then walks that channel's
+frames in blocks (``dsp.wiener_synthesis``), rebuilding each block's
+mixture frames from the channel's samples: expm1 -> power-ratio masks
+against the mixture STFT (mixture phase) -> inverse STFT, written straight
+into one (sources, channels, samples) stem buffer of exactly the input
+length. So no whole-song spectrum or padded copy exists while the network
+or synthesis runs, and each other whole-song temporary (features,
+estimates) is dropped as soon as it is used. A float64 model's stems are
+bit-identical to masking and inverting the whole song at once in float64;
+a float32 model's carry float32 rounding, which the model amplifies
+where it predicts near-silence (within 2e-6 of the peak of a float64
+separation on a 120 s song with the default random-weight model). The
+accompaniment, in the stems' dtype, is the sum of the non-vocal stems by
+default; ``accompaniment="all4"`` sums all four instead.
 """
 
 from __future__ import annotations
@@ -58,13 +61,15 @@ def separate_song(bundle: ModelBundle, song: AudioClip, accompaniment: str = "no
     dtype = bundle.separator.dtype
     samples = np.empty((len(sources), song.channels, song.num_samples), dtype=dtype)
     for c in range(song.channels):
-        mixture_spec = dsp.stft(song.channel(c), sample_rate=song.sample_rate, dtype=dtype)
-        features = dsp.log1p_magnitude(mixture_spec)
+        # The spectrum lives only until its features exist; synthesis
+        # recomputes each block's mixture frames from the samples.
+        features = dsp.log1p_magnitude(dsp.stft(song.channel(c), sample_rate=song.sample_rate,
+                                                dtype=dtype))
         with no_grad():
             estimates = bundle.predict(features).data.reshape((len(sources),) + features.shape)
         del features
-        dsp.wiener_synthesis(estimates, mixture_spec, samples[:, c])
-        del estimates, mixture_spec
+        dsp.wiener_synthesis(estimates, song.channel(c), samples[:, c])
+        del estimates
 
     stems = {name: AudioClip(samples[s], song.sample_rate) for s, name in enumerate(sources)}
     stems["accompaniment"] = _accompaniment_stem(stems, sources, accompaniment, song)

@@ -75,11 +75,14 @@ def transposed_writer(path, clip, fmt):
 @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
 @pytest.mark.parametrize("channels", [1, 2])
 def test_write_wav_bytes_equal_the_transposed_writer(tmp_path, channels, fmt):
-    samples = 0.6 * rng_for(f"writer-{channels}-{fmt}").normal(size=(channels, 3001))
-    clip = AudioClip(samples, 22050)
-    write_wav(tmp_path / "new.wav", clip, fmt=fmt)
-    transposed_writer(tmp_path / "old.wav", clip, fmt)
-    assert (tmp_path / "new.wav").read_bytes() == (tmp_path / "old.wav").read_bytes()
+    # Excursions past full scale, so pcm16 clips at both ends.
+    samples = 0.8 * rng_for(f"writer-{channels}-{fmt}").normal(size=(channels, 3001))
+    assert samples.max() > 1.0 and samples.min() < -1.0
+    for dtype in (np.float32, np.float64):
+        clip = AudioClip(samples.astype(dtype), 22050)
+        write_wav(tmp_path / "new.wav", clip, fmt=fmt)
+        transposed_writer(tmp_path / "old.wav", clip, fmt)
+        assert (tmp_path / "new.wav").read_bytes() == (tmp_path / "old.wav").read_bytes(), dtype
 
 
 def test_pcm16_roundtrip_within_quantization(tmp_path):

@@ -1,7 +1,9 @@
 """STFT/iSTFT against a direct DFT-sum oracle and round-trips; Wiener
 mask conservation; blocked Wiener synthesis against the whole-spectrogram
-formulas and its working memory; energy-ratio SDR contracts; and a
-source scan that keeps the package to FFT calls NumPy 1.24 runs."""
+formulas and its working memory; block frames from local copies and any
+block size bit-equal to one whole-signal block; energy-ratio SDR
+contracts; and a source scan that keeps the package to FFT calls NumPy
+1.24 runs."""
 
 import ast
 import tracemalloc
@@ -391,7 +393,7 @@ def test_wiener_synthesis_bit_equal_to_whole_spectrogram(seed, sources, n, singl
     features = features.astype(dtype)
     want = whole_spectrogram_synthesis(features, mixture)
     out = np.full((sources, n), 7.0, dtype=dtype)
-    dsp.wiener_synthesis(features, dsp.stft(signal, sample_rate=44100, dtype=dtype), out)
+    dsp.wiener_synthesis(features, signal, out)
     assert np.isnan(out).any()
     if not single:
         assert np.array_equal(out, want, equal_nan=True)
@@ -406,25 +408,26 @@ def test_wiener_synthesis_of_loud_estimates_stays_finite(dtype):
     # A log1p estimate of 60 is a magnitude of 1.1e26, whose square
     # overflows float32: masks must not square it unscaled.
     rng = rng_for("loud-estimate")
-    mixture = dsp.stft(rng.normal(size=samples_for_frames(2 * BLOCK, 7)), sample_rate=44100,
-                       dtype=dtype)
+    signal = rng.normal(size=samples_for_frames(2 * BLOCK, 7))
+    mixture = dsp.stft(signal, sample_rate=44100, dtype=dtype)
     features = rng.normal(0.0, 1.0, size=(3,) + mixture.data.shape).astype(dtype)
     features[0, 100, 10] = 60.0
     features[:, 200, 20] = np.log1p(np.finfo(np.float32).max) - 0.01  # every source at the limit
     out = np.empty((3, mixture.length), dtype=dtype)
-    dsp.wiener_synthesis(features, mixture, out)
+    dsp.wiener_synthesis(features, signal, out)
     assert np.isfinite(out).all()
     back = dsp.istft(mixture).channel(0)
     assert interior_rel_rms(back, out.sum(axis=0)) < 1e-6
 
 
 def test_wiener_synthesis_rejects_mismatched_shapes():
-    mixture = dsp.stft(np.zeros(3 * dsp.WINDOW_SIZE), sample_rate=44100)
+    signal = np.zeros(3 * dsp.WINDOW_SIZE)
+    mixture = dsp.stft(signal, sample_rate=44100)
     features = np.zeros((2,) + mixture.data.shape)
     with pytest.raises(ShapeError):
-        dsp.wiener_synthesis(features[:, :, :-1], mixture, np.empty((2, mixture.length)))
+        dsp.wiener_synthesis(features[:, :, :-1], signal, np.empty((2, mixture.length)))
     with pytest.raises(ShapeError):
-        dsp.wiener_synthesis(features, mixture, np.empty((3, mixture.length)))
+        dsp.wiener_synthesis(features, signal, np.empty((3, mixture.length)))
 
 
 def synthesis_peak_bytes(frames, sources, dtype):
@@ -432,13 +435,12 @@ def synthesis_peak_bytes(frames, sources, dtype):
     a song of ``frames`` frames; inputs and the output buffer exist
     beforehand."""
     rng = rng_for(f"synthesis-memory-{frames}")
-    mixture = dsp.stft(rng.normal(size=samples_for_frames(frames)), sample_rate=44100,
-                       dtype=dtype)
-    features = rng.random((sources,) + mixture.data.shape, dtype=np.float32).astype(dtype)
-    out = np.empty((sources, mixture.length), dtype=dtype)
+    signal = rng.normal(size=samples_for_frames(frames))
+    features = rng.random((sources, dsp.FREQ_BINS, frames), dtype=np.float32).astype(dtype)
+    out = np.empty((sources, signal.size), dtype=dtype)
     tracemalloc.start()
     try:
-        dsp.wiener_synthesis(features, mixture, out)
+        dsp.wiener_synthesis(features, signal, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,6 +469,76 @@ def test_wiener_synthesis_working_memory_does_not_grow_with_frames(monkeypatch):
         assert long - short <= block_bytes
         assert short <= 3 * block_bytes, (dtype, short / block_bytes)
         assert set(inverted) == {(np.result_type(dtype, np.complex64), np.dtype(dtype))}
+
+
+# ---------------------------------------------------------------------------
+# frame blocks
+
+
+def padded_frames_oracle(samples, dtype):
+    """Every frame's ``rfft`` from the whole reflect-padded signal."""
+    padded = np.pad(np.asarray(samples, dtype=dtype), dsp.WINDOW_SIZE // 2, mode="reflect")
+    segments = np.lib.stride_tricks.sliding_window_view(padded, dsp.WINDOW_SIZE)[::dsp.HOP_SIZE]
+    return dsp.scipy.fft.rfft(segments * dsp.hann_window(dtype), n=dsp.WINDOW_SIZE, axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [dsp.WINDOW_SIZE, dsp.WINDOW_SIZE + 1, 3000,
+                               2 * dsp.WINDOW_SIZE - 1, samples_for_frames(9, 17)])
+def test_block_frames_from_local_copies_equal_the_whole_padded_signal(n, dtype):
+    # The first and last frames reach into the reflection padding; below two
+    # windows a frame reaches into both.
+    samples = rng_for(f"block-frames-{n}").normal(size=n)
+    want = padded_frames_oracle(samples, dtype)
+    frames = want.shape[0]
+    for lo, hi in {(0, 1), (0, 2), (0, frames), (frames - 1, frames), (frames - 2, frames),
+                   (1, frames - 1), (frames // 2, frames // 2 + 1)}:
+        if lo < hi:
+            got = dsp.block_frames(samples, lo, hi, dtype)
+            assert got.dtype == np.result_type(dtype, np.complex64)
+            assert np.array_equal(got, want[lo:hi]), (lo, hi)
+
+
+def one_block_results(signal, features, dtype):
+    """``stft`` and ``wiener_synthesis`` as one whole-signal block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsp, "SYNTHESIS_BLOCK_FRAMES", features.shape[-1])
+        spectrum = dsp.stft(signal, sample_rate=44100, dtype=dtype).data
+        out = dsp.wiener_synthesis(features, signal,
+                                   np.empty((features.shape[0], signal.size), dtype=dtype))
+    return spectrum, out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2, 3, 5, 8, BLOCK]),
+       frames=st.integers(3, 3 * BLOCK + 2), extra=st.integers(0, dsp.HOP_SIZE - 1),
+       single=st.booleans())
+@example(seed=1, block=BLOCK, frames=3, extra=0, single=True)  # one window
+@example(seed=2, block=4, frames=BLOCK - 1, extra=5, single=False)
+@example(seed=3, block=BLOCK // 8, frames=BLOCK, extra=0, single=True)
+@example(seed=4, block=2, frames=BLOCK + 1, extra=1023, single=True)
+@example(seed=5, block=4, frames=4 * 5, extra=0, single=False)
+@example(seed=6, block=8, frames=8 * 8, extra=3, single=True)
+def test_stft_and_wiener_synthesis_bit_equal_across_block_sizes(seed, block, frames, extra,
+                                                                single):
+    # Any block size gives the whole-signal result bit for bit: the spectrum
+    # is the whole padded signal's, and synthesis that of a single block.
+    # The examples put the last block boundary on the last frame (frames a
+    # multiple of the block) and the first length holds exactly one window.
+    dtype = np.float32 if single else np.float64
+    rng = np.random.default_rng(seed)
+    signal = rng.normal(size=max(samples_for_frames(frames, extra), dsp.WINDOW_SIZE))
+    sources = int(rng.integers(1, 4))
+    features = rng.normal(0.0, 1.5, size=(sources, dsp.FREQ_BINS, frames)).astype(dtype)
+    features[:, rng.random((dsp.FREQ_BINS, frames)) < 0.05] = -np.inf  # the floors bind
+    want_spectrum, want_out = one_block_results(signal, features, dtype)
+    assert np.array_equal(want_spectrum, padded_frames_oracle(signal, dtype).T)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsp, "SYNTHESIS_BLOCK_FRAMES", block)
+        spectrum = dsp.stft(signal, sample_rate=44100, dtype=dtype).data
+        out = dsp.wiener_synthesis(features, signal, np.full_like(want_out, 7.0))
+    assert np.array_equal(spectrum, want_spectrum)
+    assert np.array_equal(out, want_out)
 
 
 # ---------------------------------------------------------------------------
@@ -566,3 +638,4 @@ def test_package_source_keeps_to_what_numpy_1_24_runs():
                 found.append(where + "(out=...)")
     assert found == []
     assert len(list(package.glob("*.py"))) > 10
+

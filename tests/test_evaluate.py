@@ -189,15 +189,23 @@ def test_separate_song_bit_equal_to_whole_song_oracle(mode, dtype, length):
 
 # tracemalloc's peak while separating 30 s of stereo, over the song's own
 # bytes, with a small float32 model: 8.0 while stems were float64 and the
-# features and spectrum outlived their use, 5.5 since.
-SEPARATION_PEAK_OVER_SONG = 6.5
+# features and spectrum outlived their use, 5.5 once they did not, 4.3
+# with the float32 transform chain, and 3.8 since synthesis rebuilds the
+# mixture frames it needs from the samples, so the spectrum is dropped
+# before the network runs.
+SEPARATION_PEAK_OVER_SONG = 4.8
 
 
-def test_separate_song_peak_memory_is_bounded_by_song_size():
+def peak_memory_case():
+    """A small float32 model and 30 s of float64 stereo."""
     with T.using_dtype(np.float32):
         sep = build_separator(separator_config(channels=(16, 8, 4)), rng=0)
     bundle = ModelBundle("separator", sep, sources=SOURCES)
-    song = AudioClip(0.2 * rng_for("peak-memory").normal(size=(2, 30 * 44100)), 44100)
+    return bundle, AudioClip(0.2 * rng_for("peak-memory").normal(size=(2, 30 * 44100)), 44100)
+
+
+def test_separate_song_peak_memory_is_bounded_by_song_size():
+    bundle, song = peak_memory_case()
     tracemalloc.start()
     try:
         stems = separate_song(bundle, song)
@@ -211,6 +219,43 @@ def test_separate_song_peak_memory_is_bounded_by_song_size():
     for name in SOURCES:
         assert stems[name].data.base is buffer
     assert stems["accompaniment"].data.dtype == np.float32
+
+
+def test_separate_song_holds_no_whole_song_spectrum_past_the_features(monkeypatch):
+    # Traced live bytes where the network and synthesis start, and the
+    # synthesis's own peak above its start. A whole-song complex spectrum
+    # (half the song's bytes here) or a padded copy of a channel (a quarter)
+    # kept beside the features, the estimates or the synthesis breaks them.
+    bundle, song = peak_memory_case()
+    frames = 1 + song.num_samples // dsp.HOP_SIZE
+    spectrum_bytes = dsp.FREQ_BINS * frames * np.dtype(np.complex64).itemsize
+    stem_bytes = len(SOURCES) * song.data.size * np.dtype(np.float32).itemsize
+    seen = {"predict": [], "synthesis": []}
+
+    def predict_spy(features, _real=bundle.predict):
+        seen["predict"].append((tracemalloc.get_traced_memory()[0], features.nbytes))
+        return _real(features)
+
+    def synthesis_spy(estimates, samples, out, _real=dsp.wiener_synthesis):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _real(estimates, samples, out)
+        seen["synthesis"].append((live, estimates.nbytes, tracemalloc.get_traced_memory()[1] - live))
+
+    monkeypatch.setattr(bundle, "predict", predict_spy)
+    monkeypatch.setattr(dsp, "wiener_synthesis", synthesis_spy)
+    tracemalloc.start()
+    try:
+        separate_song(bundle, song)
+    finally:
+        tracemalloc.stop()
+    assert len(seen["predict"]) == len(seen["synthesis"]) == song.channels
+    slack = 2**20
+    for live, features in seen["predict"]:
+        assert live <= stem_bytes + features + slack, (live - stem_bytes - features) / 2**20
+    for live, estimates, working in seen["synthesis"]:
+        assert live <= stem_bytes + estimates + slack, (live - stem_bytes - estimates) / 2**20
+        assert working < spectrum_bytes, working / spectrum_bytes
 
 
 def test_bad_accompaniment_mode():
