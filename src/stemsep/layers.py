@@ -18,9 +18,11 @@ only; the model lifts a single ``(C, T)`` input.
 The model's leaky ReLU is the epilogue of each convolution: bias, then
 ``max(a, slope * a)`` in place on the product the GEMM has just written,
 and in the backward the upstream gradient is scaled by the slope where
-the activated output is negative, before the GEMMs. Under ``no_grad``,
-``Conv1d`` folds weight norm's per-channel scale into the GEMM weights
-instead of building the effective weight.
+the activated output is negative, before the GEMMs. Weight norm is part
+of both ops in every mode: given ``weight_g``, they scale each output
+channel's taps by g / ||v|| as they build their GEMM weights, so no
+effective weight is built, and their backward turns its gradient into
+the direction's and the scale's.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, accumulate_grad, astensor, grad_enabled, leaky_relu, record_op
+from .tensor import Tensor, accumulate_grad, astensor, leaky_relu, record_op
 
 NORM_KINDS = ("weight_norm", "batch_norm")
 
@@ -107,7 +109,7 @@ def _summed_gemm(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 # weight-norm row norms: their scratch stays a few hundred kB whatever the
 # layer's size.
 SCRATCH_ELEMENTS = 1 << 16
-# Output frames per GEMM in the float32 forward of ``conv_transpose1d``: its
+# Output frames per GEMM in the forward of ``conv_transpose1d``: its
 # working set besides the output is one (C_out, frames) block. The default
 # model's last tconv (512 -> 4100, k5, s2, activated) over a 120 s channel,
 # float32, 2-vCPU box, medians of 7 alternating calls: blocks of 256, 512,
@@ -159,7 +161,7 @@ def _channel_norms(v: np.ndarray) -> np.ndarray:
     norms = np.concatenate([np.sqrt((rows * rows).sum(axis=1))
                             for rows in (flat[r:r + step] for r in range(0, len(flat), step))])
     if np.any(norms == 0.0):
-        raise ShapeError("weight_normalized: zero-norm direction tensor")
+        raise ShapeError("weight norm: zero-norm direction tensor")
     return norms
 
 
@@ -178,27 +180,48 @@ def _gemm_weight(taps: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
     return w.reshape(c_out, q * c_in)
 
 
-def _check_epilogue(slope, scale, *inputs) -> None:
+def _check_slope(slope) -> None:
     if slope is not None and not 0.0 <= slope <= 1.0:
         raise ConfigError(f"leaky ReLU slope must lie in [0, 1], got {slope}")
-    if scale is not None and grad_enabled() and any(t.requires_grad for t in inputs):
-        raise ValueError("a folded weight scale has no backward; call under no_grad")
+
+
+def _weight_scale(v: Tensor, g: Tensor | None):
+    """Weight norm's per-channel factor g / ||v|| and the norms of ``v``;
+    (None, None) for a plain weight."""
+    if g is None:
+        return None, None
+    norms = _channel_norms(v.data)
+    return g.data / norms, norms
+
+
+def _weight_grad(v: Tensor, g: Tensor | None, scale, norms, dw: np.ndarray) -> None:
+    """Hand ``dw``, the gradient of the weight an op multiplied by, to ``v``;
+    with weight norm (``g`` given) that weight was scale * v, so per output
+    channel dg = <dw, v> / ||v|| and dv = scale * dw - g <dw, v> / ||v||^3 * v."""
+    if g is None:
+        accumulate_grad(v, dw)
+        return
+    per_channel = (-1,) + (1,) * (dw.ndim - 1)
+    dots = (dw.reshape(len(dw), -1) * v.data.reshape(len(dw), -1)).sum(axis=1)
+    accumulate_grad(g, dots / norms)
+    if v.requires_grad:
+        coef = (g.data * dots / norms**3).reshape(per_channel)
+        accumulate_grad(v, scale.reshape(per_channel) * dw - coef * v.data)
 
 
 def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int, int] = (0, 0),
-           slope: float | None = None, scale: np.ndarray | None = None) -> Tensor:
+           slope: float | None = None, weight_g: Tensor | None = None) -> Tensor:
     """Valid cross-correlation along time with optional zero padding.
 
     ``weight`` has shape (out_channels, in_channels, kernel); output time
     extent is floor((T + pad - K) / stride) + 1. ``slope`` applies a leaky
     ReLU (0 <= slope <= 1) in place after the bias, and the backward
     masks the upstream gradient by the output's sign before the GEMMs.
-    ``scale`` multiplies each output channel's weights as the GEMM weight
-    is built (weight norm folded in); it has no backward, so a call that
-    records a tape op refuses it.
+    With ``weight_g``, ``weight`` is weight norm's direction v: the GEMM
+    weight is g * v / ||v||, each output channel scaled as it is built.
     """
     x = _batched(x)
-    _check_epilogue(slope, scale, x, weight, bias)
+    _check_slope(slope)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
@@ -212,6 +235,7 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
     t_out = (t_pad - kernel) // stride + 1
     cols = _gather_taps(padded, kernel, stride, t_out)                    # (B, K*C_in, T_out)
     del padded
+    scale, norms = _weight_scale(weight, weight_g)
     w2 = _gemm_weight(weight.data, scale)                                 # (C_out, K*C_in)
     out_data = w2 @ cols
     out_data += bias.data[:, None]
@@ -225,25 +249,26 @@ def conv1d(x, weight: Tensor, bias: Tensor, stride: int = 1, padding: tuple[int,
             for g_item, y_item in zip(g, out_data):
                 _mask_rows(g_item, y_item, slope)
         dw = _summed_gemm(g, cols).reshape(c_out, kernel, c_in).transpose(0, 2, 1)
-        accumulate_grad(weight, np.ascontiguousarray(dw))
+        _weight_grad(weight, weight_g, scale, norms, np.ascontiguousarray(dw))
         accumulate_grad(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
             dpad = _scatter_taps(w2.T @ g, kernel, stride, t_pad)
             accumulate_grad(x, dpad[:, :, pl:t_pad - pr] if (pl or pr) else dpad)
 
-    return record_op(out, (x, weight, bias), backward_rule)
+    inputs = (x, weight, bias) if weight_g is None else (x, weight, bias, weight_g)
+    return record_op(out, inputs, backward_rule)
 
 
-def _frame_spans(kept: int, frames: int, block: int | None) -> list:
+def _frame_spans(kept: int, frames: int) -> list:
     """(lo, hi, end) for each GEMM of one tconv phase and batch item: output
     frames lo .. hi - 1 come from the GEMM over tap columns lo .. end - 1.
-    Spans start every ``block`` frames (one span when ``block`` is None), a
-    tail narrower than half a block joins the span before it, and the last
-    GEMM runs to the phase's last column, as one whole-phase GEMM does. So
-    no GEMM is narrow unless the whole-phase one is: numpy computes one
-    column as a matrix-vector product, and OpenBLAS's sgemm rounds a
-    two-column call unlike a wide one."""
-    step = block or max(kept, 1)
+    Spans start every ``TCONV_BLOCK_FRAMES`` frames, a tail narrower than
+    half a block joins the span before it, and the last GEMM runs to the
+    phase's last column, as one whole-phase GEMM does. So no GEMM is narrow
+    unless the whole-phase one is: numpy computes one column as a
+    matrix-vector product, and OpenBLAS's sgemm rounds a two-column call
+    unlike a wide one."""
+    step = TCONV_BLOCK_FRAMES
     starts = list(range(0, kept, step))
     if len(starts) > 1 and kept - starts[-1] < step // 2:
         starts.pop()
@@ -253,7 +278,7 @@ def _frame_spans(kept: int, frames: int, block: int | None) -> list:
 
 def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
                      length: int | None = None, slope: float | None = None,
-                     scale: np.ndarray | None = None) -> Tensor:
+                     weight_g: Tensor | None = None) -> Tensor:
     """Gradient-of-convolution semantics: output time = (T - 1) * stride + K,
     with overlapping contributions summed; ``length`` keeps the first frames.
 
@@ -268,14 +293,14 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
     same way, with a zero gradient past ``length``, and sums the phases'
     input-side products into one tap buffer for ``_scatter_taps``; its
     GEMMs keep their full width, so dx and dW equal the full op's bit for
-    bit, as do the kept frames wherever both split into the same spans
-    (always in float64, whose phases are one GEMM each). Each output frame
-    is one GEMM column; whether BLAS rounds a column alike in a block and in
-    a whole-phase GEMM depends on its kernels (OpenBLAS's sgemm does at the
-    default model's widths). ``slope`` and ``scale`` act as in ``conv1d``.
+    bit, as do the kept frames wherever both split into the same spans.
+    Each output frame is one GEMM column; whether BLAS rounds a column alike
+    in a block and in a whole-phase GEMM depends on its kernels (OpenBLAS's
+    sgemm does at the default model's widths, its dgemm not always).
+    ``slope`` and ``weight_g`` act as in ``conv1d``.
     """
     x = _batched(x)
-    _check_epilogue(slope, scale, x, weight, bias)
+    _check_slope(slope)
     xb = x.data
     c_out, c_in, kernel = weight.data.shape
     if xb.shape[1] != c_in:
@@ -290,21 +315,19 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
     padded = np.pad(xb, ((0, 0), (0, 0), (pad, pad))) if pad else xb
     cols = _gather_taps(padded, q, 1, t + pad)                          # (B, Q*C_in, T+Q-1)
     del padded
+    scale, norms = _weight_scale(weight, weight_g)
 
     def phase_weight(p):
         """W_p (C_out, Q_p*C_in): taps p, p + stride, ... reversed."""
         return _gemm_weight(weight.data[:, :, p::stride][:, :, ::-1], scale)
 
     # phases[p] = (first tap row of cols, frame count, frames kept, GEMM spans)
-    # OpenBLAS's dgemm rounds a column differently with the call's width, so
-    # float64 keeps one GEMM per phase.
     dt = np.result_type(xb, weight.data)
-    block = TCONV_BLOCK_FRAMES if dt == np.float32 else None
     phases = []
     for p in range(min(stride, kernel)):
         q_p = len(range(p, kernel, stride))
         frames, kept = t + q_p - 1, len(range(p, t_out, stride))
-        phases.append(((q - q_p) * c_in, frames, kept, _frame_spans(kept, frames, block)))
+        phases.append(((q - q_p) * c_in, frames, kept, _frame_spans(kept, frames)))
 
     out_data = np.empty((b, c_out, t_out), dtype=dt)
     bias_col = bias.data[:, None]
@@ -349,31 +372,22 @@ def conv_transpose1d(x, weight: Tensor, bias: Tensor, stride: int = 1,
                 if dcols is not None:
                     dcols[i, row:, :frames] += w_p.T @ g_p
             dw[:, :, p::stride] = dw_p.reshape(c_out, -1, c_in)[:, ::-1].transpose(0, 2, 1)
-        accumulate_grad(weight, dw)
+        _weight_grad(weight, weight_g, scale, norms, dw)
         accumulate_grad(bias, g.sum(axis=(0, 2)))
         if dcols is not None:
             dpad = _scatter_taps(dcols, q, 1, t + 2 * pad)
             accumulate_grad(x, dpad[:, :, pad:pad + t])
 
-    return record_op(out, (x, weight, bias), backward_rule)
+    inputs = (x, weight, bias) if weight_g is None else (x, weight, bias, weight_g)
+    return record_op(out, inputs, backward_rule)
 
 
 def weight_normalized(v: Tensor, g: Tensor) -> Tensor:
-    """Effective weight g * v / ||v||, norm taken per output channel."""
-    flat = v.data.reshape(v.data.shape[0], -1)
-    norms = _channel_norms(v.data)
-    scale = (g.data / norms).reshape((-1,) + (1,) * (v.data.ndim - 1))
-    out = Tensor._wrap(v.data * scale)
-
-    def backward_rule(grad):
-        grad_flat = grad.reshape(grad.shape[0], -1)
-        dots = (grad_flat * flat).sum(axis=1)
-        accumulate_grad(g, dots / norms)
-        if v.requires_grad:
-            coef = (g.data * dots / norms**3).reshape(scale.shape)
-            accumulate_grad(v, scale * grad - coef * v.data)
-
-    return record_op(out, (v, g), backward_rule)
+    """Effective weight g * v / ||v||, norm taken per output channel: what
+    the convolution ops multiply by when given ``weight_g``."""
+    scale, norms = _weight_scale(v, g)
+    out = Tensor._wrap(v.data * scale.reshape((-1,) + (1,) * (v.data.ndim - 1)))
+    return record_op(out, (v, g), lambda grad: _weight_grad(v, g, scale, norms, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -494,34 +508,25 @@ class Conv1d:
         elif norm == "batch_norm":
             self.bn = BatchNorm1d(out_channels)
 
-    def effective_weight(self) -> Tensor:
-        if self.norm == "weight_norm":
-            return weight_normalized(self.weight, self.weight_g)
-        return self.weight
-
     def __call__(self, x, training: bool = False, length: int | None = None,
                  slope: float | None = None) -> Tensor:
         """The layer's output, leaky-ReLU-activated with ``slope`` unless it
-        is None. With weight norm the activation is the convolution op's
-        epilogue, and under ``no_grad`` weight norm folds into the GEMM
-        weights; with batch norm a ``leaky_relu`` op follows the norm."""
+        is None. With weight norm, the norm and the activation run inside
+        the convolution op, in training and inference alike, so the layer
+        is one tape op; with batch norm a ``leaky_relu`` op follows the norm."""
         x = astensor(x)
-        if self.weight_g is not None and not grad_enabled():
-            w, scale = self.weight, self.weight_g.data / _channel_norms(self.weight.data)
-        else:
-            w, scale = self.effective_weight(), None
         fused = slope if self.bn is None else None
         if self.transposed:
-            out = conv_transpose1d(x, w, self.bias, stride=self.stride, length=length,
-                                   slope=fused, scale=scale)
+            out = conv_transpose1d(x, self.weight, self.bias, stride=self.stride, length=length,
+                                   slope=fused, weight_g=self.weight_g)
         else:
             # A tail frame the strided walk skipped is one the mirrored decoder
             # could never predict, so zero-pad the right edge until it is covered.
             pl, pr = self.padding
             over = x.data.shape[-1] + pl + pr - self.kernel_size
             extra = -over if over < 0 else -over % self.stride
-            out = conv1d(x, w, self.bias, stride=self.stride, padding=(pl, pr + extra),
-                         slope=fused, scale=scale)
+            out = conv1d(x, self.weight, self.bias, stride=self.stride, padding=(pl, pr + extra),
+                         slope=fused, weight_g=self.weight_g)
         if self.bn is not None:
             out = self.bn(out, training)
             if slope is not None:

@@ -12,9 +12,9 @@ convolution layers own the time lengths: an encoder layer right-pads until
 its strided walk covers the last frame, and its mirrored decoder layer
 returns exactly the length it consumed, so any input length works. Every
 convolution layer, convolution skips included, applies the model's leaky
-ReLU itself (``Conv1d(..., slope=)``): with weight norm it is the
-epilogue of the layer's one tape op, so a layer and its activation are
-one op in training and one in-place pass in inference.
+ReLU itself (``Conv1d(..., slope=)``): with weight norm, the norm and the
+activation run inside the layer's one convolution op, so a layer is one
+tape op in training and one in-place pass in inference.
 
 One walk, ``modules()``, yields every parameterised layer with its name
 prefix; parameter and buffer traversal, checkpoint state and optimizer

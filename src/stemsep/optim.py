@@ -89,20 +89,6 @@ class Adam:
                 update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
                 p.data -= lr * update
 
-    def state_dict(self) -> dict:
-        arrays = {}
-        for pname in self._m:
-            arrays["m." + pname] = self._m[pname]
-            arrays["v." + pname] = self._v[pname]
-        return {
-            "t": self.t,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "group_lrs": {g["name"]: g["lr"] for g in self.groups},
-            "arrays": arrays,
-        }
-
 
 def build_optimizer(conv_params, gru_params, lr_conv: float, lr_gru: float,
                     gru_clip_norm: float | None = 5.0) -> Adam:

@@ -324,7 +324,8 @@ def test_conv_layer_walk_covers_the_last_frame(t, stride, padding):
     assert out.shape == (2, 3, frames)
     pl, pr = padding
     extended = np.pad(x, ((0, 0), (0, 0), (pl, (frames - 1) * stride + kernel - t - pl)))
-    want = conv1d(T.Tensor(extended), layer.effective_weight(), layer.bias, stride=stride).data
+    weight = weight_normalized(layer.weight, layer.weight_g)
+    want = conv1d(T.Tensor(extended), weight, layer.bias, stride=stride).data
     assert np.array_equal(out, want)
 
 
@@ -399,6 +400,22 @@ def test_conv_transpose1d_call_is_one_tape_op():
         conv_transpose1d(T.Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True), w, bias,
                          stride=stride)
         assert len(tape) - before == 1
+    tape.clear()
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["conv", "tconv"])
+def test_weight_norm_layer_call_is_one_tape_op(transposed):
+    # The norm and the activation run inside the convolution op: one op
+    # whose inputs are the layer input, the direction, the bias and the scale.
+    rng = rng_for(f"wn-tape-{transposed}")
+    layer = Conv1d(2, 3, 5, stride=2, transposed=transposed, rng=rng)
+    x = T.Tensor(rng.normal(size=(2, 2, 9)), requires_grad=True)
+    tape = T.current_tape()
+    tape.clear()
+    out = layer(x, training=True, slope=0.01)
+    assert len(tape) == 1
+    assert tape.ops[0].out is out
+    assert tape.ops[0].inputs == (x, layer.weight, layer.bias, layer.weight_g)
     tape.clear()
 
 
@@ -500,20 +517,26 @@ def test_fused_gradient_follows_the_output_sign_where_the_slope_underflows(dtype
     assert np.array_equal(bits(dx[..., 1:]), bits(want_dx[..., 1:]))
 
 
-@pytest.mark.parametrize("c_in,c_out,exact", [(24, 40, False), (128, 2050, True)],
-                         ids=["small", "wide"])
-def test_blocked_transposed_forward_matches_one_gemm_per_phase(monkeypatch, c_in, c_out, exact):
-    # Float32 products are written in blocks of output frames; with a block
-    # wider than the input, each phase is one GEMM again. Whether OpenBLAS's
-    # sgemm rounds a column alike in both depends on its kernel choice: at
-    # the model's widths ("wide") it does, bit for bit; at small ones a
-    # block's last columns may differ in the last bits.
+@pytest.mark.parametrize("c_in,c_out,exact,dtype", [
+    pytest.param(24, 40, False, np.float32, id="small"),
+    pytest.param(128, 2050, True, np.float32, id="wide"),
+    pytest.param(24, 40, False, np.float64, id="small-float64"),
+    pytest.param(128, 2050, False, np.float64, id="wide-float64"),
+])
+def test_blocked_transposed_forward_matches_one_gemm_per_phase(monkeypatch, c_in, c_out, exact,
+                                                               dtype):
+    # Products are written in blocks of output frames; with a block wider
+    # than the input, each phase is one GEMM again. Whether OpenBLAS rounds
+    # a column alike in both depends on its kernel choice: its sgemm does at
+    # the model's widths ("wide"), bit for bit; at small widths, and in
+    # dgemm, a block's columns may differ in the last bits.
+    rel_bound = {np.float32: 1e-6, np.float64: 4e-15}[dtype]  # about 8 and 18 ulps of 1
     rng = rng_for(f"tconv-blocks-{c_out}")
-    with T.using_dtype(np.float32), T.no_grad():
+    with T.using_dtype(dtype), T.no_grad():
         layer = Conv1d(c_in, c_out, 5, stride=2, transposed=True, rng=rng)
         layer.bias.data[:] = rng.normal(size=c_out)
         x = T.Tensor(rng.standard_normal((2, c_in, 2 * layers.TCONV_BLOCK_FRAMES + 40),
-                                         dtype=np.float32))
+                                         dtype=dtype))
         natural = (x.data.shape[-1] - 1) * 2 + 5
         for length in (natural, natural - 1, 3):
             blocked = layer(x, length=length, slope=0.01).data
@@ -523,19 +546,21 @@ def test_blocked_transposed_forward_matches_one_gemm_per_phase(monkeypatch, c_in
             if exact:
                 assert np.array_equal(bits(blocked), bits(whole)), length
             else:
-                assert np.max(np.abs(blocked - whole)) <= 1e-6 * np.max(np.abs(whole)), length
+                assert np.max(np.abs(blocked - whole)) <= rel_bound * np.max(np.abs(whole)), length
 
 
-def test_folded_transposed_layer_holds_nothing_whole_beside_its_output():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_folded_transposed_layer_holds_nothing_whole_beside_its_output(dtype):
     """Under no_grad a weight-norm transposed layer peaks at its output, its
     gathered input taps, one phase weight, one block of output frames and
-    the epilogue's scratch: no effective weight and no whole-phase product."""
+    the epilogue's scratch: no effective weight and no whole-phase product,
+    in either precision."""
     c_in, c_out, kernel, stride, frames = 256, 2050, 5, 2, 1100
     q = -(-kernel // stride)
     rng = rng_for("tconv-fold-memory")
-    with T.using_dtype(np.float32), T.no_grad():
+    with T.using_dtype(dtype), T.no_grad():
         layer = Conv1d(c_in, c_out, kernel, stride=stride, transposed=True, rng=rng)
-        x = T.Tensor(rng.standard_normal((1, c_in, frames), dtype=np.float32))
+        x = T.Tensor(rng.standard_normal((1, c_in, frames), dtype=dtype))
         tracemalloc.start()
         try:
             out = layer(x, slope=0.01)
@@ -561,14 +586,56 @@ def test_epilogue_refuses_a_slope_outside_the_unit_interval(slope):
             op(x, w, bias, slope=slope)
 
 
-def test_folded_scale_is_inference_only():
-    x, w, bias = T.Tensor(np.ones((1, 2, 4))), param(np.ones((3, 2, 2))), param(np.zeros(3))
-    for op in (conv1d, conv_transpose1d):
-        with pytest.raises(ValueError):
-            op(x, w, bias, scale=np.ones(3))
+@settings(max_examples=80, deadline=None)
+@given(transposed=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+       b=st.integers(1, 3), c_in=st.integers(1, 4), c_out=st.integers(1, 4),
+       k=st.integers(1, 5), stride=st.integers(1, 3), t=st.integers(1, 9),
+       cut=st.sampled_from([None, 0, 1, 3]), slope=st.sampled_from([None, 0.01]),
+       seed=st.integers(0, 2**32 - 1))
+def test_weight_norm_inside_the_op_bit_equal_to_composed(transposed, dtype, b, c_in, c_out, k,
+                                                         stride, t, cut, slope, seed):
+    # With ``weight_g`` the op scales each output channel's taps as it builds
+    # its GEMM weights; composed, ``weight_normalized`` builds the effective
+    # weight first. Output and the x, v, g and bias gradients agree bit for
+    # bit, and so does the op's output under no_grad.
+    rng = np.random.default_rng(seed)
+    with T.using_dtype(dtype):
+        v, g, bias = (T.Tensor(a, requires_grad=True) for a in (
+            rng.normal(size=(c_out, c_in, k)), np.abs(rng.normal(size=c_out)) + 0.5,
+            rng.normal(size=c_out)))
+        x = rng.normal(size=(b, c_in, t)).astype(dtype)
+        if transposed:
+            length = None if cut is None else max((t - 1) * stride + k - cut, 1)
+            kwargs = dict(stride=stride, length=length, slope=slope)
+            op = conv_transpose1d
+        else:
+            # ``cut`` pads the left edge; the right one always fits a kernel.
+            kwargs = dict(stride=stride, padding=(cut or 0, k - 1), slope=slope)
+            op = conv1d
+
+        def outputs_and_grads(fused):
+            xt = T.Tensor(x, requires_grad=True)
+            if fused:
+                out = op(xt, v, bias, weight_g=g, **kwargs)
+            else:
+                out = op(xt, weight_normalized(v, g), bias, **kwargs)
+            probe = np.random.default_rng(seed + 1).normal(size=out.data.shape).astype(dtype)
+            T.backward(reduce_sum(mul(out, T.Tensor(probe))))
+            grads = [xt.grad, v.grad, g.grad, bias.grad]
+            for p in (v, g, bias):
+                p.zero_grad()
+            return out.data, grads
+
         with T.no_grad():
-            assert np.array_equal(op(x, w, bias, scale=np.full(3, 2.0)).data,
-                                  2.0 * op(x, w, bias).data)
+            inference = op(T.Tensor(x), v, bias, weight_g=g, **kwargs).data
+        out, grads = outputs_and_grads(True)
+        want_out, want_grads = outputs_and_grads(False)
+    assert out.dtype == inference.dtype == dtype
+    assert np.array_equal(bits(out), bits(want_out))
+    assert np.array_equal(bits(inference), bits(out))
+    for got, want in zip(grads, want_grads, strict=True):
+        assert got.dtype == dtype
+        assert np.array_equal(bits(got), bits(want))
 
 
 # ---------------------------------------------------------------------------

@@ -248,10 +248,10 @@ def test_training_tape_holds_no_pad_or_crop_op():
     tape = T.current_tape()
     tape.clear()
     mse_loss(model.forward(x, training=True), target)
-    weight_norms = convs = activations = 6
+    convs = activations = 6  # each weight-norm layer normalizes inside its one op
     grus, skip_adds, loss = 2, 2, 1
-    ops = weight_norms + convs + grus + skip_adds + loss
-    assert len(tape) == ops == 17
+    ops = convs + grus + skip_adds + loss
+    assert len(tape) == ops == 11
     tape.clear()
     mse_loss(pad_and_crop_forward(model, x, training=True), target)
     # The oracle's separate activations, its pad concat and two crops.
